@@ -7,6 +7,16 @@ decision is a semi-decision: an exact existence search over growing cube sides
 (failure certifies emptiness) interleaved with a periodic-torus search over
 growing shapes (success certifies nonemptiness via a finite orbit); both may
 exhaust their cutoffs, leaving an honest Unknown.
+
+Existence, pattern counts and periodic fill-in counts all run one recursion,
+`_frontier_weights`: it walks the side-k cube cell by cell in row-major order,
+carrying a weight for each content of the last m cells (m = n for d = 1), with
+optional per-cell clamps and a batch axis for many boundaries at once.  Its
+dtype picks the semiring: bool (or, and) for existence, float64 or exact
+Python ints (+, *) for counts.  Budgets: the frontier holds at most
+2^FRONTIER_BUDGET_BITS states, or 2^COUNT_STATE_BUDGET_BITS with exact ints;
+the one exactness guard uses float64 only while |A|^(free cells) <= 2^52
+(free cells k^d, or max(0, k-2n)^d with the boundary clamped).
 """
 
 import math
@@ -17,13 +27,13 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
-from . import patterns as pt
 from .ensemble import AllowedSet, orbit_allowed, stream_words, TAG_BOUNDARY
 from .orbits import Orbit, enumerate_orbits, orbit_from_config
 
 FRONTIER_BUDGET_BITS = 22
 COUNT_STATE_BUDGET_BITS = 18
 TORUS_DIRECT_BUDGET = 4096
+EXACT_BOUNDARY_BUDGET = 1 << 16
 
 
 @dataclass
@@ -171,14 +181,15 @@ def decide_empty_1d(omega: AllowedSet) -> EmptinessVerdict:
 
 
 # ---------------------------------------------------------------------------
-# d >= 2: rolling-frontier existence search and torus search
+# The rolling-frontier recursion behind every existence and count query
 
 @lru_cache(maxsize=None)
 def _frontier_tables(d: int, n: int, alphabet: int, k: int):
-    """State digits cover the last m cells in row-major order, m = the span of
-    one window plus the rows/planes between; returns (m, per-state window-code
-    table for the window completed by the newest cell)."""
-    m = (n - 1) * (k ** d - 1) // (k - 1) + 1
+    """State digits cover the last m cells of the side-k cube in row-major
+    order, m = the span of one window plus the rows/planes between (m = n for
+    d = 1); the newest cell is the most significant digit.  Returns (m,
+    per-state window-code table for the window completed by the newest cell)."""
+    m = (n - 1) * sum(k ** i for i in range(d)) + 1
     if m * math.log2(alphabet) > FRONTIER_BUDGET_BITS:
         raise ResourceBudgetError(
             f"frontier state space {alphabet}^{m} over budget for d={d}, n={n}, k={k}"
@@ -187,108 +198,79 @@ def _frontier_tables(d: int, n: int, alphabet: int, k: int):
     ids = np.arange(size, dtype=np.int64)
     codes = np.zeros(size, dtype=np.int64)
     total = n ** d
-    rank = 0
-    for rel in product(range(n), repeat=d):
+    for rank, rel in enumerate(product(range(n), repeat=d)):
         # newest cell holds rel = (n-1, ..., n-1); offset back in row-major order
         delta = 0
         for i in range(d):
             delta = delta * k + (n - 1 - rel[i])
-        digit = (ids // (alphabet ** delta)) % alphabet
+        digit = (ids // (alphabet ** (m - 1 - delta))) % alphabet
         codes += digit * (alphabet ** (total - 1 - rank))
-        rank += 1
     codes.setflags(write=False)
     return m, codes
 
 
-def pattern_exists(omega: AllowedSet, k: int) -> bool:
-    """Exact: is there a side-k pattern all of whose windows are allowed?"""
-    n, d, A = omega.n, omega.d, omega.alphabet
+def _exact_dtype(alphabet: int, free_cells: int):
+    """The exactness guard: float64 while every count is at most
+    |A|^free_cells <= 2^52, exact Python ints beyond."""
+    return np.float64 if free_cells * math.log2(alphabet) <= 52 else object
+
+
+def _frontier_weights(bits, d: int, n: int, alphabet: int, k: int, dtype,
+                      owners=None, syms=None) -> np.ndarray:
+    """Walk the side-k cube cell by cell in row-major order, carrying a weight
+    per frontier state and batch row; returns them shaped (batch, states).
+
+    dtype picks the semiring: bool is (or, and) for existence; float64 and
+    object (exact Python ints, held to COUNT_STATE_BUDGET_BITS) are (+, *) for
+    counts.  Clamps: owners maps a cell to the column of syms, shaped (batch,
+    free cells), that holds the symbol the cell is fixed to in each row."""
     if k < n:
         raise DomainError("need k >= n")
-    if d == 1:
-        # any allowed word of length k exists iff a path of k-n edges does
-        alive = omega.bits.copy()
-        w = len(alive)
-        reach = alive.astype(bool)
-        for _ in range(k - n):
-            by_suffix = reach.reshape(A, w // A).any(axis=0)
-            reach = alive & by_suffix[np.arange(w) // A]
-        return bool(reach.any())
+    A = alphabet
     m, codes = _frontier_tables(d, n, A, k)
-    size = A ** m
-    check = omega.bits[codes]
-    frontier = np.ones(size, dtype=bool)
+    if dtype is object and m * math.log2(A) > COUNT_STATE_BUDGET_BITS:
+        raise ResourceBudgetError("exact counting state space over budget")
+    add, mul = (np.logical_or, np.logical_and) if dtype is bool else (np.add, np.multiply)
+    sub = A ** (m - 1)  # contents of the m-1 older cells
+    check = bits[codes].reshape(A, sub)
+    batch = 1 if syms is None else len(syms)
+    w = np.zeros((batch, A, sub), dtype=dtype)
+    w[:, 0, 0] = 1  # warm-up digits are never read before m real cells exist
     for cell in product(range(k), repeat=d):
-        shifted = np.repeat(frontier.reshape(A, size // A).any(axis=0), A)
-        if all(x >= n - 1 for x in cell):
-            shifted &= check
-        frontier = shifted
-    return bool(frontier.any())
+        old = w.reshape(batch, sub, A)  # oldest digit last
+        agg = old[:, :, 0].copy()
+        for a in range(1, A):
+            add(agg, old[:, :, a], out=agg)
+        checked = min(cell) >= n - 1
+        clamp = owners.get(cell) if owners else None
+        for a in range(A):
+            if checked:
+                mul(agg, check[a], out=w[:, a])
+            else:
+                w[:, a] = agg
+            if clamp is not None:
+                mul(w[:, a], (syms[:, clamp] == a)[:, None], out=w[:, a])
+    return w.reshape(batch, A * sub)
+
+
+def pattern_exists(omega: AllowedSet, k: int) -> bool:
+    """Exact: is there a side-k pattern all of whose windows are allowed?"""
+    return bool(_frontier_weights(omega.bits, omega.d, omega.n, omega.alphabet,
+                                  k, bool).any())
 
 
 def count_patterns_1d_fast(bits: np.ndarray, n: int, alphabet: int, k: int) -> float:
     """Float64 line count; exact while the count stays below 2^53."""
-    if k * math.log2(alphabet) > 52:
+    if _exact_dtype(alphabet, k) is object:
         raise ResourceBudgetError("count may exceed exact float range; use count_patterns")
-    s = alphabet ** (n - 1)
-    counts = np.ones(s, dtype=np.float64)
-    ok = bits[np.arange(s * alphabet, dtype=np.int64)].astype(np.float64).reshape(s, alphabet)
-    for _ in range(k - n + 1):
-        contrib = counts[:, None] * ok
-        counts = contrib.reshape(alphabet, s).sum(axis=0)
-    return float(counts.sum())
+    return float(_frontier_weights(bits, 1, n, alphabet, k, np.float64).sum())
 
 
 def count_patterns(omega: AllowedSet, k: int):
     """Exact number of allowed side-k patterns (arbitrary precision)."""
-    n, d, A = omega.n, omega.d, omega.alphabet
-    if k < n:
-        raise DomainError("need k >= n")
-    if d == 1:
-        s = A ** (n - 1)
-        counts = [1] * s
-        bits = omega.bits
-        for _ in range(k - n + 1):
-            new = [0] * s
-            for st in range(s):
-                c = counts[st]
-                if not c:
-                    continue
-                base = st * A
-                for a in range(A):
-                    if bits[base + a]:
-                        new[(base + a) % s] += c
-            counts = new
-        return sum(counts)
-    m, codes = _frontier_tables(d, n, A, k)
-    if m * math.log2(A) > COUNT_STATE_BUDGET_BITS:
-        raise ResourceBudgetError("counting state space over budget")
-    size = A ** m
-    bits = omega.bits
-    check = bits[codes]
-    counts = [0] * size
-    counts[0] = 1  # warm-up digits are never read before m real cells exist
-    sub = size // A  # states sharing everything but the oldest digit
-    for cell in product(range(k), repeat=d):
-        agg = [0] * sub
-        for hi in range(A):
-            off = hi * sub
-            row = counts[off : off + sub]
-            for i, c in enumerate(row):
-                if c:
-                    agg[i] += c
-        new = [0] * size
-        do_check = all(x >= n - 1 for x in cell)
-        for i, c in enumerate(agg):
-            if not c:
-                continue
-            base = i * A
-            for a in range(A):
-                if do_check and not check[base + a]:
-                    continue
-                new[base + a] = c
-        counts = new
-    return sum(counts)
+    dtype = _exact_dtype(omega.alphabet, k ** omega.d)
+    return int(_frontier_weights(omega.bits, omega.d, omega.n, omega.alphabet,
+                                 k, dtype).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -519,46 +501,6 @@ def _count_closed_walks_1d(bits: np.ndarray, n: int, alphabet: int, ell: int):
     return int(round(total))
 
 
-def count_torus_points(omega: AllowedSet, shape):
-    """Number of allowed wraparound configs on the shape: the fully periodic
-    points with that period box (exact)."""
-    A, n = omega.alphabet, omega.n
-    vol = math.prod(shape)
-    if A ** vol <= TORUS_DIRECT_BUDGET:
-        reads = _torus_window_codes(shape, n, A)
-        weights = (A ** np.arange(n ** omega.d - 1, -1, -1, dtype=np.int64))
-        total = A ** vol
-        ids = np.arange(total, dtype=np.int64)
-        digs = np.empty((total, vol), dtype=np.int64)
-        rem = ids.copy()
-        for c in range(vol - 1, -1, -1):
-            digs[:, c] = rem % A
-            rem //= A
-        codes = digs[:, reads.reshape(-1)].reshape(total, reads.shape[0], reads.shape[1])
-        codes = codes @ weights
-        return int(omega.bits[codes].all(axis=1).sum())
-    if omega.d != 2:
-        raise ResourceBudgetError("torus counting over budget for d >= 3")
-    b, a = shape
-    codes = _cyclic_block_codes(a, n, A)
-    rows = A ** a
-    s_states = A ** ((n - 1) * a)
-    ok = omega.bits[codes].all(axis=1)
-    M = np.zeros((s_states, s_states), dtype=object)
-    blocks = np.arange(A ** (n * a), dtype=np.int64)
-    s_from = (blocks // rows)[ok]
-    s_to = (blocks % s_states)[ok]
-    for i, j in zip(s_from.tolist(), s_to.tolist()):
-        M[i, j] = 1
-    V = np.eye(s_states, dtype=object)
-    for _ in range(b):
-        V = V @ M
-    return int(np.trace(V))
-
-
-EXACT_BOUNDARY_BUDGET = 1 << 16
-
-
 def _boundary_cell_owners(d: int, n: int, k: int):
     """Map each boundary cell of the cube to the index of the fundamental free
     cell it copies (period k-n+1 per axis)."""
@@ -573,35 +515,19 @@ def _boundary_cell_owners(d: int, n: int, k: int):
     return free, owners
 
 
-def _fill_counts_general_batch(omega: AllowedSet, k: int,
-                               bnd_syms: np.ndarray) -> np.ndarray:
+def _fill_counts(omega: AllowedSet, k: int, syms: np.ndarray) -> np.ndarray:
     """Exact fill-in counts for a batch of boundaries (rows of free-cell
-    symbols), via the clamped rolling-frontier DP."""
+    symbols) by the clamped frontier recursion, at most 2^22 weights a pass."""
     n, d, A = omega.n, omega.d, omega.alphabet
-    if ((k - 2 * n) ** d) * math.log2(A) > 52:
-        raise ResourceBudgetError("fill counts exceed exact float range")
-    m, codes = _frontier_tables(d, n, A, k)
-    size = A ** m
-    check = omega.bits[codes].astype(np.float64)
+    dtype = _exact_dtype(A, max(0, k - 2 * n) ** d)
+    m, _ = _frontier_tables(d, n, A, k)
     _, owners = _boundary_cell_owners(d, n, k)
-    nb = bnd_syms.shape[0]
-    out = np.empty(nb, dtype=np.float64)
-    sym_of_state = (np.arange(size, dtype=np.int64) % A)
-    chunk = max(1, (1 << 22) // size)
-    for lo in range(0, nb, chunk):
-        sub = bnd_syms[lo : lo + chunk]
-        counts = np.zeros((len(sub), size), dtype=np.float64)
-        counts[:, 0] = 1.0
-        for cell in product(range(k), repeat=d):
-            agg = counts.reshape(len(sub), A, size // A).sum(axis=1)
-            counts = np.repeat(agg, A, axis=1)
-            if cell in owners:
-                clamp = sub[:, owners[cell]]
-                counts *= (sym_of_state[None, :] == clamp[:, None])
-            if all(x >= n - 1 for x in cell):
-                counts *= check[None, :]
-        out[lo : lo + chunk] = counts.sum(axis=1)
-    return out
+    chunk = max(1, (1 << 22) // A ** m)
+    return np.concatenate([
+        _frontier_weights(omega.bits, d, n, A, k, dtype, owners,
+                          syms[lo : lo + chunk]).sum(axis=1)
+        for lo in range(0, len(syms), chunk)
+    ])
 
 
 def _count_boundary_sum_exact(omega: AllowedSet, k: int):
@@ -619,8 +545,7 @@ def _count_boundary_sum_exact(omega: AllowedSet, k: int):
     for c in range(len(free) - 1, -1, -1):
         syms[:, c] = rem % A
         rem //= A
-    fills = _fill_counts_general_batch(omega, k, syms)
-    return int(round(float(fills.sum())))
+    return int(_fill_counts(omega, k, syms).sum())
 
 
 def _sample_boundaries(omega: AllowedSet, k: int, count: int):
@@ -633,204 +558,6 @@ def _sample_boundaries(omega: AllowedSet, k: int, count: int):
     )
     syms = ((words >> np.uint64(11)) % np.uint64(omega.alphabet)).astype(np.int64)
     return syms.reshape(count, len(free)), free
-
-
-def _fill_counts_1d(omega: AllowedSet, k: int, boundaries: np.ndarray):
-    """For each sampled boundary (free symbols: positions [0,n) then k-n),
-    the exact number of allowed completions, batched."""
-    n, A = omega.n, omega.alphabet
-    ell = k - n + 1
-    B = boundaries.shape[0]
-    s = A ** (n - 1)
-    bits = omega.bits
-    # boundary symbol at position p for p in [k-n, k)
-    def tail_symbol(p):
-        if p == k - n:
-            return boundaries[:, n]       # free cell (ell - 1... position ell-1 = k-n)
-        return boundaries[:, p - (k - n) - 1]  # copy of position p - ell
-
-    first_code = np.zeros(B, dtype=np.int64)
-    for i in range(n):
-        first_code = first_code * A + boundaries[:, i]
-    counts = np.zeros((B, s), dtype=np.float64)
-    counts[np.arange(B), first_code % s] = bits[first_code].astype(np.float64)
-    ok = bits[np.arange(s * A, dtype=np.int64)].astype(np.float64).reshape(1, s, A)
-    for p in range(n, k):
-        contrib = counts[:, :, None] * ok          # (B, s, A)
-        if p >= k - n:
-            a_fixed = tail_symbol(p)
-            mask = (np.arange(A)[None, None, :] == a_fixed[:, None, None])
-            contrib = contrib * mask
-        counts = contrib.reshape(B, A, s).sum(axis=1)
-    return counts.sum(axis=1)
-
-
-def count_torus_points(omega: AllowedSet, shape):
-    """Number of allowed wraparound configs on the shape: the fully periodic
-    points with that period box (exact)."""
-    A, n = omega.alphabet, omega.n
-    vol = math.prod(shape)
-    if A ** vol <= TORUS_DIRECT_BUDGET:
-        reads = _torus_window_codes(shape, n, A)
-        weights = (A ** np.arange(n ** omega.d - 1, -1, -1, dtype=np.int64))
-        total = A ** vol
-        ids = np.arange(total, dtype=np.int64)
-        digs = np.empty((total, vol), dtype=np.int64)
-        rem = ids.copy()
-        for c in range(vol - 1, -1, -1):
-            digs[:, c] = rem % A
-            rem //= A
-        codes = digs[:, reads.reshape(-1)].reshape(total, reads.shape[0], reads.shape[1])
-        codes = codes @ weights
-        return int(omega.bits[codes].all(axis=1).sum())
-    if omega.d != 2:
-        raise ResourceBudgetError("torus counting over budget for d >= 3")
-    b, a = shape
-    codes = _cyclic_block_codes(a, n, A)
-    rows = A ** a
-    s_states = A ** ((n - 1) * a)
-    ok = omega.bits[codes].all(axis=1)
-    M = np.zeros((s_states, s_states), dtype=object)
-    blocks = np.arange(A ** (n * a), dtype=np.int64)
-    s_from = (blocks // rows)[ok]
-    s_to = (blocks % s_states)[ok]
-    for i, j in zip(s_from.tolist(), s_to.tolist()):
-        M[i, j] = 1
-    V = np.eye(s_states, dtype=object)
-    for _ in range(b):
-        V = V @ M
-    return int(np.trace(V))
-
-
-EXACT_BOUNDARY_BUDGET = 1 << 16
-
-
-def _boundary_cell_owners(d: int, n: int, k: int):
-    """Map each boundary cell of the cube to the index of the fundamental free
-    cell it copies (period k-n+1 per axis)."""
-    ell = k - n + 1
-    free = _free_boundary_cells(d, n, k)
-    owners = {}
-    for idx, p in enumerate(free):
-        for q in product(*(range(0, (k - x + ell - 1) // ell) for x in p)):
-            tgt = tuple(x + mult * ell for x, mult in zip(p, q))
-            if all(t < k for t in tgt) and not all(n <= t < k - n for t in tgt):
-                owners[tgt] = idx
-    return free, owners
-
-
-def _fill_counts_general_batch(omega: AllowedSet, k: int,
-                               bnd_syms: np.ndarray) -> np.ndarray:
-    """Exact fill-in counts for a batch of boundaries (rows of free-cell
-    symbols), via the clamped rolling-frontier DP."""
-    n, d, A = omega.n, omega.d, omega.alphabet
-    if ((k - 2 * n) ** d) * math.log2(A) > 52:
-        raise ResourceBudgetError("fill counts exceed exact float range")
-    m, codes = _frontier_tables(d, n, A, k)
-    size = A ** m
-    check = omega.bits[codes].astype(np.float64)
-    _, owners = _boundary_cell_owners(d, n, k)
-    nb = bnd_syms.shape[0]
-    out = np.empty(nb, dtype=np.float64)
-    sym_of_state = (np.arange(size, dtype=np.int64) % A)
-    chunk = max(1, (1 << 22) // size)
-    for lo in range(0, nb, chunk):
-        sub = bnd_syms[lo : lo + chunk]
-        counts = np.zeros((len(sub), size), dtype=np.float64)
-        counts[:, 0] = 1.0
-        for cell in product(range(k), repeat=d):
-            agg = counts.reshape(len(sub), A, size // A).sum(axis=1)
-            counts = np.repeat(agg, A, axis=1)
-            if cell in owners:
-                clamp = sub[:, owners[cell]]
-                counts *= (sym_of_state[None, :] == clamp[:, None])
-            if all(x >= n - 1 for x in cell):
-                counts *= check[None, :]
-        out[lo : lo + chunk] = counts.sum(axis=1)
-    return out
-
-
-def _count_boundary_sum_exact(omega: AllowedSet, k: int):
-    """Sum of fill-in counts over every periodic boundary (d >= 2 exact path;
-    the interior cells are free, so this enumerates the boundary pool)."""
-    n, d, A = omega.n, omega.d, omega.alphabet
-    free = _free_boundary_cells(d, n, k)
-    pool = A ** len(free)
-    if pool > EXACT_BOUNDARY_BUDGET:
-        raise ResourceBudgetError(
-            f"{A}^{len(free)} boundaries; use Monte Carlo sampling instead")
-    ids = np.arange(pool, dtype=np.int64)
-    syms = np.empty((pool, len(free)), dtype=np.int64)
-    rem = ids.copy()
-    for c in range(len(free) - 1, -1, -1):
-        syms[:, c] = rem % A
-        rem //= A
-    fills = _fill_counts_general_batch(omega, k, syms)
-    return int(round(float(fills.sum())))
-
-
-def _sample_boundaries(omega: AllowedSet, k: int, count: int):
-    """Uniform boundary samples from the counter-based stream (tag distinct
-    from window sampling), shaped (count, free cells)."""
-    free = _free_boundary_cells(omega.d, omega.n, k)
-    words = stream_words(
-        omega.seed, TAG_BOUNDARY,
-        (omega.d, omega.n, omega.alphabet, k), omega.trial, count * len(free),
-    )
-    syms = ((words >> np.uint64(11)) % np.uint64(omega.alphabet)).astype(np.int64)
-    return syms.reshape(count, len(free)), free
-
-
-def _fill_counts_1d(omega: AllowedSet, k: int, boundaries: np.ndarray):
-    """For each sampled boundary (free symbols: positions [0,n) then k-n),
-    the exact number of allowed completions, batched."""
-    n, A = omega.n, omega.alphabet
-    ell = k - n + 1
-    B = boundaries.shape[0]
-    s = A ** (n - 1)
-    bits = omega.bits
-    # boundary symbol at position p for p in [k-n, k)
-    def tail_symbol(p):
-        if p == k - n:
-            return boundaries[:, n]       # free cell (ell - 1... position ell-1 = k-n)
-        return boundaries[:, p - (k - n) - 1]  # copy of position p - ell
-
-    first_code = np.zeros(B, dtype=np.int64)
-    for i in range(n):
-        first_code = first_code * A + boundaries[:, i]
-    counts = np.zeros((B, s), dtype=np.float64)
-    counts[np.arange(B), first_code % s] = bits[first_code].astype(np.float64)
-    ok = bits[np.arange(s * A, dtype=np.int64)].astype(np.float64).reshape(1, s, A)
-    for p in range(n, k):
-        contrib = counts[:, :, None] * ok          # (B, s, A)
-        if p >= k - n:
-            a_fixed = tail_symbol(p)
-            mask = (np.arange(A)[None, None, :] == a_fixed[:, None, None])
-            contrib = contrib * mask
-        counts = contrib.reshape(B, A, s).sum(axis=1)
-    return counts.sum(axis=1)
-
-
-def _fill_count_general(omega: AllowedSet, k: int, fixed: dict):
-    """Completions of a partially fixed side-k pattern, exact (frontier DP)."""
-    n, d, A = omega.n, omega.d, omega.alphabet
-    m, codes = _frontier_tables(d, n, A, k)
-    size = A ** m
-    check = omega.bits[codes].astype(np.float64)
-    counts = np.zeros(size, dtype=np.float64)
-    counts[0] = 1.0
-    sym_of_state = (np.arange(size, dtype=np.int64) % A)
-    for cell in product(range(k), repeat=d):
-        agg = counts.reshape(A, size // A).sum(axis=0)
-        counts = np.repeat(agg, A)
-        if cell in fixed:
-            counts = counts * (sym_of_state == fixed[cell])
-        if all(x >= n - 1 for x in cell):
-            counts = counts * check
-    total = counts.sum()
-    if total >= 2.0 ** 52:
-        raise ResourceBudgetError("fill count exceeds exact float range")
-    return int(round(total))
 
 
 @dataclass
@@ -865,10 +592,7 @@ def count_periodic_fillins(omega: AllowedSet, k: int,
     if k < 2 * n:
         raise DomainError("Monte Carlo boundary sampling needs k >= 2n")
     bnds, free = _sample_boundaries(omega, k, boundary_samples)
-    if d == 1:
-        fills = _fill_counts_1d(omega, k, bnds)
-    else:
-        fills = _fill_counts_general_batch(omega, k, bnds)
+    fills = _fill_counts(omega, k, bnds).astype(np.float64)
     mean = float(fills.mean())
     sd = float(fills.std(ddof=1)) if boundary_samples > 1 else 0.0
     return PeriodicCount(pool * mean, False,

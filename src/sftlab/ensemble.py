@@ -19,7 +19,6 @@ from .orbits import Orbit, orbit_windows
 
 TAG_WINDOW_BITS = 0x57494E44  # window-retention stream
 TAG_BOUNDARY = 0x42445259     # periodic-boundary sampling stream
-TAG_GENERIC = 0x47454E52      # anything else
 
 _MAGIC = b"SFTOMEGA"
 

@@ -181,14 +181,9 @@ def _entropy_chunk(args):
     params = EnsembleParams(alphabet, d, n, alpha, seed)
     pattern_counts = np.empty(hi - lo, dtype=np.float64)
     periodic_counts = np.empty(hi - lo, dtype=np.float64)
-    fast_line = d == 1 and k * math.log2(alphabet) <= 52
     for i, t in enumerate(range(lo, hi)):
         omega = sample(params, t)
-        if fast_line:
-            pattern_counts[i] = analysis.count_patterns_1d_fast(
-                omega.bits, n, alphabet, k)
-        else:
-            pattern_counts[i] = float(analysis.count_patterns(omega, k))
+        pattern_counts[i] = float(analysis.count_patterns(omega, k))
         pc = analysis.count_periodic_fillins(omega, k, boundary_samples)
         periodic_counts[i] = pc.count
     return pattern_counts, periodic_counts

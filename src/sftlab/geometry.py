@@ -286,13 +286,6 @@ def thicken(E, r: int) -> PointSet:
     return PointSet(out)
 
 
-def cube_interior(k: int, d: int, r: int) -> PointSet:
-    """interior(full cube, r) without materializing the ball scans."""
-    if k <= 2 * r:
-        return PointSet([])
-    return PointSet(product(*(range(r, k - r) for _ in range(d))))
-
-
 def cubes_in(E, n: int):
     """All side-n cubes contained in E, sorted by their lex-minimal point."""
     if n < 1:

@@ -198,25 +198,6 @@ def count_orbits(alphabet: int, d: int, j: int) -> OrbitCount:
     return OrbitCount(j, count)
 
 
-def count_orbits_1d_formula(alphabet: int, j: int) -> int:
-    """Closed form via Mobius over divisors (d=1 only), used as an oracle."""
-    def mobius(m):
-        out, p = 1, 2
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        if m > 1:
-            out = -out
-        return out
-
-    s = sum(mobius(j // i) * alphabet ** i for i in range(1, j + 1) if j % i == 0)
-    return s // j
-
-
 # ---------------------------------------------------------------------------
 # Orbits as values
 

@@ -8,7 +8,6 @@ window format.
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -18,15 +17,6 @@ from .geometry import Cube, PointSet, check_dim, cubes_in, full_cube
 
 MAX_WINDOW_TABLE_BITS = 28  # refuse |A|^(n^d) > 2^28 window tables
 HISTOGRAM_BUDGET = 2 ** 24
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    size: int
-
-    def __post_init__(self):
-        if not 2 <= self.size <= 255:
-            raise DomainError(f"alphabet size must be in [2, 255], got {self.size}")
 
 
 def window_table_size(alphabet: int, d: int, n: int) -> int:

@@ -174,10 +174,6 @@ def _canonical_face_transform(face: Face):
     return perm, flips
 
 
-def _apply_transform(p, perm, flips, k):
-    return tuple((k - 1 - p[a]) if f else p[a] for a, f in zip(perm, flips))
-
-
 def _apply_transform_anchor(anchor, perm, flips, k, n):
     """Transform of a cube's anchor: reflected axes move the anchor to the far
     corner, so the transformed anchor is k-1-(a+n-1) there."""

@@ -401,3 +401,47 @@ def test_decide_empty_d3_tiny():
     assert v.is_nonempty and v.certificate_orbit.size == 1
     v = A.decide_empty(AllowedSet(3, 2, 2, np.zeros(256, bool)), 3, 2)
     assert v.is_empty and v.certificate_k == 2
+
+
+# ---------------------------------------------------------------------------
+# the shared frontier recursion at its edges
+
+def test_d1_fill_counts_sum_to_closed_walk_count():
+    # every boundary of the pool, folded through the clamped frontier, against
+    # the independent closed-walk trace; small k also per boundary by brute force
+    from itertools import product as iproduct
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        for k in range(2 * n, 2 * n + 4):
+            for _ in range(4):
+                bits = rng.random(2 ** n) < rng.uniform(0.4, 0.95)
+                omega = AllowedSet(1, n, 2, bits)
+                free, owners = A._boundary_cell_owners(1, n, k)
+                syms = np.array(list(iproduct((0, 1), repeat=len(free))), dtype=np.int64)
+                fills = A._fill_counts(omega, k, syms)
+                assert fills.sum() == A.count_periodic_fillins(omega, k).count
+                if k > 8:
+                    continue
+                expect = {}
+                for word in iproduct((0, 1), repeat=k):
+                    if all(word[c] == word[free[i][0]] for (c,), i in owners.items()) and all(
+                            bits[P.encode_window(word[i : i + n], 2)]
+                            for i in range(k - n + 1)):
+                        key = tuple(word[p[0]] for p in free)
+                        expect[key] = expect.get(key, 0) + 1
+                got = {tuple(s): f for s, f in zip(syms.tolist(), fills.tolist())}
+                assert all(got[key] == expect.get(key, 0) for key in got)
+
+
+def test_d2_n1_decides_and_counts():
+    # n = 1 windows are single cells: the frontier is one cell wide
+    rng = np.random.default_rng(13)
+    for alphabet in (2, 3):
+        for _ in range(4):
+            bits = rng.random(alphabet) < 0.6
+            omega = AllowedSet(2, 1, alphabet, bits)
+            v = A.decide_empty(omega, 3, 2)
+            assert v.verdict == ("nonempty" if bits.any() else "empty")
+            for k in (1, 2, 3, 4):
+                assert A.count_patterns(omega, k) == int(bits.sum()) ** (k * k)
+                assert A.pattern_exists(omega, k) == bool(bits.any())

@@ -190,3 +190,13 @@ def test_cover_cli_banded_route_d2(tmp_path):
     assert payload["windows"] == 2
     assert payload["route"].startswith("skeleton")
     assert len(payload["bound_terms"]) == 3
+
+
+def test_experiment_d2_n1_runs(tmp_path):
+    out = tmp_path / "e.csv"
+    r = run_cli(["experiment", "emptiness", "--d", "2", "--alphabet", "2",
+                 "--n", "1", "--alpha", "0.5", "--trials", "3", "--seed", "0",
+                 "--kmax", "3", "--torus-max", "2", "--zeta-jmax", "2",
+                 "--workers", "1", "--out-csv", str(out)])
+    assert r.returncode == 0, r.stderr
+    assert out.read_text().count("\n") == 2

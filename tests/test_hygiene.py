@@ -1,0 +1,30 @@
+"""Source hygiene: no module defines the same top-level name twice (a later
+definition silently shadows the earlier one)."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sftlab"
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_duplicate_top_level_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    counts = Counter(_top_level_names(tree))
+    dups = sorted(name for name, c in counts.items() if c > 1)
+    assert not dups, f"{path.name} defines {dups} more than once"
