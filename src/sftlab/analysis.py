@@ -17,6 +17,16 @@ Python ints (+, *) for counts.  Budgets: the frontier holds at most
 2^FRONTIER_BUDGET_BITS states, or 2^COUNT_STATE_BUDGET_BITS with exact ints;
 the one exactness guard uses float64 only while |A|^(free cells) <= 2^52
 (free cells k^d, or max(0, k-2n)^d with the boundary clamped).
+
+Torus search and exact periodic counts run one cyclic slab transfer,
+`_slab_walk`: a config on the wraparound shape (b, *cross) is a closed walk of
+length b over states of n-1 stacked slabs of the cyclic cross-section (one
+cell for d = 1), a step allowed when every window of its n-slab block is.  The
+dtype picks the semiring as above: bool finds the lex-least torus config, and
+the ell-periodic point count is the trace on the ell^d torus, exact by the
+same guard with free cells ell^d.  Budgets: the block table and each pass hold
+at most 2^FRONTIER_BUDGET_BITS entries, or 2^COUNT_STATE_BUDGET_BITS with
+exact ints, and a walk from every state takes at most 2^(22 - 18) = 16 passes.
 """
 
 import math
@@ -33,7 +43,6 @@ from .orbits import Orbit, enumerate_orbits, orbit_from_config
 FRONTIER_BUDGET_BITS = 22
 COUNT_STATE_BUDGET_BITS = 18
 TORUS_DIRECT_BUDGET = 4096
-EXACT_BOUNDARY_BUDGET = 1 << 16
 
 
 @dataclass
@@ -274,7 +283,7 @@ def count_patterns(omega: AllowedSet, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Torus search (d >= 2)
+# Torus search and exact periodic counts: the cyclic slab transfer
 
 def _torus_window_codes(shape, n: int, alphabet: int):
     """For each anchor in the fundamental box, the flat fundamental indices of
@@ -298,15 +307,12 @@ def _torus_window_codes(shape, n: int, alphabet: int):
 def _torus_direct(omega: AllowedSet, shape):
     """Lex-least allowed config on the wraparound shape, by direct enumeration."""
     A = omega.alphabet
-    vol = 1
-    for s in shape:
-        vol *= s
+    vol = math.prod(shape)
     total = A ** vol
     reads = _torus_window_codes(shape, omega.n, A)
     weights = (A ** np.arange(omega.n ** omega.d - 1, -1, -1, dtype=np.int64))
-    ids = np.arange(total, dtype=np.int64)
     digs = np.empty((total, vol), dtype=np.int64)
-    rem = ids.copy()
+    rem = np.arange(total, dtype=np.int64)
     for c in range(vol - 1, -1, -1):
         digs[:, c] = rem % A
         rem //= A
@@ -320,87 +326,97 @@ def _torus_direct(omega: AllowedSet, shape):
 
 
 @lru_cache(maxsize=None)
-def _cyclic_block_codes(width: int, n: int, alphabet: int):
-    """Window codes of an n-row cyclic block of rows with the given width:
-    entry [block_id, c] is the window anchored at column c (columns wrap)."""
-    nrows = n
-    size = alphabet ** (nrows * width)
-    if math.log2(size) > FRONTIER_BUDGET_BITS:
-        raise ResourceBudgetError("cyclic block table over budget")
-    ids = np.arange(size, dtype=np.int64)
-    # digit of row r, column c (row 0 oldest = most significant)
-    def digit(r, c):
-        pos = (nrows - 1 - r) * width + (width - 1 - c)
-        return (ids // (alphabet ** pos)) % alphabet
-
-    out = np.zeros((size, width), dtype=np.int64)
-    total = n * n
-    for c in range(width):
-        code = np.zeros(size, dtype=np.int64)
-        rank = 0
-        for t0 in range(n):
-            for t1 in range(n):
-                code += digit(t0, (c + t1) % width) * (alphabet ** (total - 1 - rank))
-                rank += 1
-        out[:, c] = code
+def _slab_table(cross, n: int, alphabet: int):
+    """Window codes of every block of n slabs, a slab being one copy of the
+    cyclic cross-section (a single cell for d = 1) and the oldest slab the
+    most significant: entry [block, c] is the window anchored at cell c of the
+    block's oldest slab."""
+    cells = n * math.prod(cross)
+    ids = np.arange(alphabet ** cells, dtype=np.int64)
+    reads = _torus_window_codes((n, *cross), n, alphabet)[: math.prod(cross)]
+    out = np.zeros((len(ids), len(reads)), dtype=np.int64)
+    for c, row in enumerate(reads):
+        for flat in row:
+            out[:, c] = out[:, c] * alphabet + ids // alphabet ** (cells - 1 - flat) % alphabet
     out.setflags(write=False)
     return out
 
 
+def _walk_budget(dtype) -> int:
+    return 1 << (COUNT_STATE_BUDGET_BITS if dtype is object else FRONTIER_BUDGET_BITS)
+
+
+def _slab_gate(omega: AllowedSet, cross, dtype) -> np.ndarray:
+    """Allowed steps, shaped (states, slab values): a state is n-1 stacked
+    slabs, and state s appending slab x is allowed when every window of the
+    block s * slab values + x is; it moves to that block minus its oldest slab.
+    Budget, for walks in dtype: the block table holds at most
+    2^FRONTIER_BUDGET_BITS blocks, or 2^COUNT_STATE_BUDGET_BITS with exact
+    ints, and a walk from every state takes at most 2^(FRONTIER_BUDGET_BITS -
+    COUNT_STATE_BUDGET_BITS) passes of _slab_walk."""
+    X = omega.alphabet ** math.prod(cross)
+    S = X ** (omega.n - 1)
+    budget = _walk_budget(dtype)
+    if S * X > budget or S * S > budget << (FRONTIER_BUDGET_BITS - COUNT_STATE_BUDGET_BITS):
+        raise ResourceBudgetError(f"slab transfer over budget: {S} states, {S * X} blocks")
+    ok = omega.bits[_slab_table(tuple(cross), omega.n, omega.alphabet)].all(axis=1)
+    return ok.reshape(S, X)
+
+
+def _slab_walk(gate: np.ndarray, starts, ends, steps: int, dtype) -> np.ndarray:
+    """Weight of the length-`steps` walks from each start state to its end
+    state.  dtype picks the semiring as in _frontier_weights, bool running as
+    float32 0/1 weights saturated at 1 after each step.  Each pass walks a
+    batch of starts holding at most 2^FRONTIER_BUDGET_BITS weights, or
+    2^COUNT_STATE_BUDGET_BITS with exact ints."""
+    S, X = gate.shape
+    H = min(S, X)  # values of the oldest slab, which a step drops (none if n = 1)
+    work = np.float32 if dtype is bool else dtype
+    by_kept = gate.reshape(H, S // H, X).transpose(1, 0, 2).astype(work)
+    chunk = _walk_budget(dtype) // S
+    out = []
+    for lo in range(0, len(starts), chunk):
+        rows = np.arange(len(starts[lo : lo + chunk]))
+        w = np.zeros((len(rows), S), dtype=work)
+        w[rows, starts[lo : lo + chunk]] = 1
+        for _ in range(steps):
+            nxt = np.matmul(w.reshape(len(rows), H, S // H).transpose(2, 0, 1), by_kept)
+            w = nxt.transpose(1, 0, 2).reshape(len(rows), -1, S).sum(axis=1)
+            if dtype is bool:
+                np.minimum(w, 1, out=w)
+        out.append(w[rows, ends[lo : lo + chunk]].astype(dtype))
+    return np.concatenate(out)
+
+
 def _torus_transfer(omega: AllowedSet, shape):
-    """d=2 wraparound search by cyclic row transfer along axis 0.  Returns the
-    lex-least allowed config (as flat symbols) or None."""
-    n, A = omega.n, omega.alphabet
-    b, a = shape
-    codes = _cyclic_block_codes(a, n, A)
-    rows = A ** a
-    s_states = A ** ((n - 1) * a)
-    ok = omega.bits[codes].all(axis=1)  # over n-row blocks
-    M = np.zeros((s_states, s_states), dtype=bool)
-    blocks = np.arange(A ** (n * a), dtype=np.int64)
-    s_from = blocks // rows
-    s_to = blocks % s_states
-    M[s_from[ok], s_to[ok]] = True
-    # closed walks of length b
-    reach = [np.eye(s_states, dtype=bool)]
-    Mf = M.astype(np.float32)
-    acc = np.eye(s_states, dtype=np.float32)
-    for _ in range(b):
-        reach.append((acc @ Mf) > 0)
-        acc = reach[-1].astype(np.float32)
-    closed = np.nonzero(np.diag(reach[b]))[0]
+    """Lex-least allowed config on the wraparound shape (flat symbols) by the
+    slab transfer along axis 0, or None."""
+    n, A, b = omega.n, omega.alphabet, shape[0]
+    vol = math.prod(shape[1:])
+    gate = _slab_gate(omega, shape[1:], bool)
+    S, X = gate.shape
+    states = np.arange(S)
+    closed = np.nonzero(_slab_walk(gate, states, states, b, bool))[0]
     if len(closed) == 0:
         return None
-    s0 = int(closed[0])
-    # rebuild one closed walk greedily (lex-least successor at each step)
-    walk = [s0]
-    cur = s0
-    for step in range(1, b):
-        nxts = np.nonzero(M[cur] & reach[b - step][:, s0])[0]
-        cur = int(nxts[0])
-        walk.append(cur)
-    # state walk[i] stacks rows i..i+n-2 oldest-first; row i is its top digit
-    if n == 2:
-        rows_seq = [walk[i] for i in range(b)]
-    else:
-        rows_seq = [walk[i] // (A ** ((n - 2) * a)) for i in range(b)]
-    syms = []
-    for r in rows_seq:
-        syms.extend((r // A ** (a - 1 - c)) % A for c in range(a))
-    return tuple(int(x) for x in syms)
+    s0 = cur = int(closed[0])
+    slabs = [s0 // X ** (n - 2 - i) % X for i in range(n - 1)]
+    # append the least slab from which a walk still closes at s0
+    for t in range(1, b - n + 2):
+        xs = np.nonzero(gate[cur])[0]
+        nxt = (cur * X + xs) % S
+        back = _slab_walk(gate, nxt, np.full(len(nxt), s0), b - t, bool)
+        x = int(xs[np.argmax(back)])
+        cur = (cur * X + x) % S
+        slabs.append(x)
+    return tuple(v // A ** (vol - 1 - c) % A for v in slabs[:b] for c in range(vol))
 
 
 def torus_config(omega: AllowedSet, shape):
     """An allowed wraparound config on the shape (flat, lex order) or None."""
-    A = omega.alphabet
-    vol = 1
-    for s in shape:
-        vol *= s
-    if A ** vol <= TORUS_DIRECT_BUDGET:
+    if omega.alphabet ** math.prod(shape) <= TORUS_DIRECT_BUDGET:
         return _torus_direct(omega, shape)
-    if omega.d == 2:
-        return _torus_transfer(omega, shape)
-    raise ResourceBudgetError(f"torus shape {shape} over budget for d={omega.d}")
+    return _torus_transfer(omega, shape)
 
 
 def decide_empty(omega: AllowedSet, k_max: int, torus_max: int) -> EmptinessVerdict:
@@ -484,23 +500,6 @@ def _free_boundary_cells(d: int, n: int, k: int):
     return out
 
 
-def _count_closed_walks_1d(bits: np.ndarray, n: int, alphabet: int, ell: int):
-    """Number of length-ell cyclic symbol sequences whose windows are all
-    allowed: closed walks in the overlap graph."""
-    s = alphabet ** (n - 1)
-    # V[i, j] = walks i -> j of current length; update appends one edge
-    V = np.eye(s, dtype=np.float64)
-    idx = np.arange(s * alphabet, dtype=np.int64)
-    ok = bits[idx].astype(np.float64)
-    for _ in range(ell):
-        contrib = V[:, :, None] * ok.reshape(1, s, alphabet)
-        V = contrib.reshape(-1, alphabet, s).sum(axis=1)
-    total = float(np.trace(V))
-    if total >= 2.0 ** 52:
-        raise ResourceBudgetError("closed-walk count exceeds exact float range")
-    return int(round(total))
-
-
 def _boundary_cell_owners(d: int, n: int, k: int):
     """Map each boundary cell of the cube to the index of the fundamental free
     cell it copies (period k-n+1 per axis)."""
@@ -522,30 +521,12 @@ def _fill_counts(omega: AllowedSet, k: int, syms: np.ndarray) -> np.ndarray:
     dtype = _exact_dtype(A, max(0, k - 2 * n) ** d)
     m, _ = _frontier_tables(d, n, A, k)
     _, owners = _boundary_cell_owners(d, n, k)
-    chunk = max(1, (1 << 22) // A ** m)
+    chunk = max(1, (1 << FRONTIER_BUDGET_BITS) // A ** m)
     return np.concatenate([
         _frontier_weights(omega.bits, d, n, A, k, dtype, owners,
                           syms[lo : lo + chunk]).sum(axis=1)
         for lo in range(0, len(syms), chunk)
     ])
-
-
-def _count_boundary_sum_exact(omega: AllowedSet, k: int):
-    """Sum of fill-in counts over every periodic boundary (d >= 2 exact path;
-    the interior cells are free, so this enumerates the boundary pool)."""
-    n, d, A = omega.n, omega.d, omega.alphabet
-    free = _free_boundary_cells(d, n, k)
-    pool = A ** len(free)
-    if pool > EXACT_BOUNDARY_BUDGET:
-        raise ResourceBudgetError(
-            f"{A}^{len(free)} boundaries; use Monte Carlo sampling instead")
-    ids = np.arange(pool, dtype=np.int64)
-    syms = np.empty((pool, len(free)), dtype=np.int64)
-    rem = ids.copy()
-    for c in range(len(free) - 1, -1, -1):
-        syms[:, c] = rem % A
-        rem //= A
-    return int(_fill_counts(omega, k, syms).sum())
 
 
 def _sample_boundaries(omega: AllowedSet, k: int, count: int):
@@ -582,12 +563,12 @@ def count_periodic_fillins(omega: AllowedSet, k: int,
         raise DomainError("need k >= n")
     pool = boundary_pool_size(d, n, omega.alphabet, k)
     if boundary_samples <= 0:
-        if d == 1:
-            # every periodic-boundary word is the restriction of an ell-periodic
-            # sequence, so the sum is a closed-walk count
-            cnt = _count_closed_walks_1d(omega.bits, n, omega.alphabet, ell)
-        else:
-            cnt = _count_boundary_sum_exact(omega, k)
+        # ell-periodic points are the closed length-ell walks of the slab
+        # transfer on the ell^d torus
+        dtype = _exact_dtype(omega.alphabet, ell ** d)
+        gate = _slab_gate(omega, (ell,) * (d - 1), dtype)
+        states = np.arange(len(gate))
+        cnt = _slab_walk(gate, states, states, ell, dtype).sum()
         return PeriodicCount(float(cnt), True, 0.0, pool, 0)
     if k < 2 * n:
         raise DomainError("Monte Carlo boundary sampling needs k >= 2n")

@@ -8,7 +8,6 @@ output path is given.
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -32,30 +31,17 @@ def _load_config(path):
     return out
 
 
-def _apply_config(args, parser):
-    """Fill parser defaults from the config file for options not on the CLI."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config(parser, args, argv):
+    """Reparse argv with the config file's values as the command's defaults:
+    argparse converts them with each option's type, and explicit flags win."""
     cfg = _load_config(args.config)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in sys.argv[1:]
-                if a.startswith("--")}
-    for key, raw in cfg.items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        cur = getattr(args, key)
-        if isinstance(cur, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(args, key, int(raw))
-        elif isinstance(cur, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
-    return args
+    options = {a.dest for a in args.leaf._actions if a.option_strings}
+    args.leaf.set_defaults(**{k: v for k, v in cfg.items() if k in options})
+    return parser.parse_args(argv)
 
 
 def _emit_json(payload, path=None):
-    text = json.dumps(payload, indent=2, default=str)
+    text = json.dumps(experiments._json_safe(payload), indent=2, default=str)
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text + "\n")
@@ -67,8 +53,13 @@ def _parse_alphas(text):
     return tuple(float(x) for x in text.split(","))
 
 
-def _add_common(p):
+def _add_config(p):
     p.add_argument("--config", help="flat key = value config file")
+    p.set_defaults(leaf=p)
+
+
+def _add_common(p):
+    _add_config(p)
     p.add_argument("--d", type=int, default=1, help="lattice dimension")
     p.add_argument("--alphabet", type=int, default=2, help="alphabet size")
 
@@ -88,14 +79,14 @@ def build_parser():
     p.add_argument("--omega-out", required=True, help="output bitset file")
 
     p = sub.add_parser("emptiness", help="decide emptiness of a saved draw")
-    p.add_argument("--config")
+    _add_config(p)
     p.add_argument("--omega-in", required=True)
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--torus-max", type=int, default=6)
     p.add_argument("--out")
 
     p = sub.add_parser("entropy", help="entropy bounds for a saved draw")
-    p.add_argument("--config")
+    _add_config(p)
     p.add_argument("--omega-in", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--boundary-samples", type=int, default=0,
@@ -114,7 +105,7 @@ def build_parser():
     p.add_argument("--out")
 
     p = sub.add_parser("cover", help="repeat cover of a text pattern")
-    p.add_argument("--config")
+    _add_config(p)
     p.add_argument("--in", dest="infile", required=True, help="pattern text file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tau", type=float, default=0.0,
@@ -237,17 +228,13 @@ def _cmd_cover(args):
 
 
 def _cmd_experiment(args):
-    workers = args.workers
-    env_cap = os.environ.get("SFTLAB_THREADS")
-    if env_cap:
-        workers = max(1, min(workers, int(env_cap)))
     cfg = experiments.ExperimentConfig(
         d=args.d, alphabet=args.alphabet, n=args.n, alphas=args.alpha,
         trials=args.trials, seed=args.seed, k=args.k, k_max=args.kmax,
         torus_max=args.torus_max, orbit_max=args.orbit_max,
         boundary_samples=args.boundary_samples, zeta_j_max=args.zeta_jmax,
         epsilons=tuple(float(x) for x in str(args.epsilons).split(",")),
-        workers=workers,
+        workers=args.workers,
     )
     result = experiments.RUNNERS[args.kind](cfg)
     if args.out_csv:
@@ -256,8 +243,7 @@ def _cmd_experiment(args):
         result.write_json(args.out_json)
     if not args.out_csv and not args.out_json:
         _emit_json({"experiment": result.kind, "config": result.config,
-                    "rows": [{k: experiments._json_safe(v) for k, v in r.items()}
-                             for r in result.rows]})
+                    "rows": result.rows})
     checks = {}
     if args.check_max_unknown is not None:
         checks["max_unknown_frac"] = args.check_max_unknown
@@ -287,8 +273,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
     try:
+        if args.config:
+            args = _apply_config(parser, args, argv)
         return COMMANDS[args.command](args)
     except SftlabError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),

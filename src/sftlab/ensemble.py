@@ -123,7 +123,10 @@ class AllowedSet:
         with open(path, "rb") as f:
             if f.read(8) != _MAGIC:
                 raise DomainError("not an allowed-set file")
-            d, n, alphabet, seed, trial = struct.unpack("<QQQqq", f.read(40))
+            header = f.read(40)
+            if len(header) < 40:
+                raise DomainError("truncated allowed-set header")
+            d, n, alphabet, seed, trial = struct.unpack("<QQQqq", header)
             raw = np.frombuffer(f.read(), dtype=np.uint8)
         w = pt.window_table_size(alphabet, d, n)
         bits = np.unpackbits(raw, bitorder="little")[:w].astype(bool)

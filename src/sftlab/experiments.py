@@ -79,10 +79,10 @@ class ExperimentResult:
             "experiment": self.kind,
             "version": __version__,
             "config": self.config,
-            "rows": [{k: _json_safe(v) for k, v in r.items()} for r in self.rows],
+            "rows": self.rows,
         }
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(payload, f, indent=2, sort_keys=False)
+            json.dump(_json_safe(payload), f, indent=2, sort_keys=False)
             f.write("\n")
 
 
@@ -95,8 +95,13 @@ def _fmt(v) -> str:
 
 
 def _json_safe(v):
+    """Non-finite floats, at any depth, as their repr strings: valid JSON."""
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
     return v
 
 
@@ -114,9 +119,12 @@ def _map_chunks(fn, argses, workers: int):
 
 def max_workers_from_env(requested: int) -> int:
     cap = os.environ.get("SFTLAB_THREADS")
-    if cap:
+    if not cap:
+        return max(1, requested)
+    try:
         return max(1, min(requested, int(cap)))
-    return max(1, requested)
+    except ValueError:
+        raise DomainError(f"SFTLAB_THREADS={cap!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------

@@ -445,3 +445,60 @@ def test_d2_n1_decides_and_counts():
             for k in (1, 2, 3, 4):
                 assert A.count_patterns(omega, k) == int(bits.sum()) ** (k * k)
                 assert A.pattern_exists(omega, k) == bool(bits.any())
+
+
+# ---------------------------------------------------------------------------
+# the cyclic slab transfer: exact periodic counts against the torus itself
+
+def brute_torus_count(omega, shape):
+    # every config on the wraparound shape, each window read directly
+    A_, vol = omega.alphabet, math.prod(shape)
+    digs = np.array(list(np.ndindex(*(A_,) * vol)), dtype=np.int64).reshape(-1, vol)
+    weights = A_ ** np.arange(omega.n ** omega.d - 1, -1, -1, dtype=np.int64)
+    ok = np.ones(len(digs), dtype=bool)
+    for row in A._torus_window_codes(shape, omega.n, A_):
+        ok &= omega.bits[digs[:, row] @ weights]
+    return int(ok.sum())
+
+
+def test_periodic_count_matches_torus_brute_force():
+    rng = np.random.default_rng(14)
+    cases = ([(1, n, a, ell) for n in (1, 2, 3, 4) for a in (2, 3) for ell in range(1, 11)
+              if a ** ell <= 1 << 12]
+             + [(2, n, 2, ell) for n in (2, 3) for ell in (1, 2, 3, 4)]
+             + [(2, 2, 3, ell) for ell in (1, 2, 3)]
+             + [(3, 2, 2, 2)])
+    for d, n, alphabet, ell in cases:
+        for _ in range(2):
+            bits = rng.random(alphabet ** (n ** d)) < rng.uniform(0.5, 0.95)
+            omega = AllowedSet(d, n, alphabet, bits)
+            pc = A.count_periodic_fillins(omega, ell + n - 1)
+            assert pc.exact
+            assert pc.count == brute_torus_count(omega, (ell,) * d), (d, n, alphabet, ell)
+
+
+def test_periodic_count_alpha_one_identity_d2_large_pool():
+    # boundary pools of 2^21 and 2^32: the count is the torus volume's power
+    full2 = AllowedSet(2, 2, 2, np.ones(16, bool))
+    for k in (6, 7):
+        ell = k - 2 + 1
+        assert A.count_periodic_fillins(full2, k).count == 2 ** (ell * ell)
+
+
+def test_torus_transfer_d3_matches_direct():
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        bits = rng.random(256) < rng.uniform(0.5, 0.95)
+        omega = AllowedSet(3, 2, 2, bits)
+        for shape in ((1, 2, 2), (2, 1, 3), (2, 2, 2), (3, 2, 2)):
+            assert A._torus_transfer(omega, shape) == A._torus_direct(omega, shape)
+
+
+def test_torus_transfer_n1_skips_a_forbidden_symbol():
+    # n = 1 keeps no slabs in the state, so the config comes from the slabs
+    # appended along the walk: here the lex-least one avoids symbol 0
+    omega = AllowedSet(2, 1, 3, np.array([False, True, True]))
+    for shape in ((2, 2), (2, 3), (3, 3), (4, 4)):
+        vol = math.prod(shape)
+        assert A._torus_transfer(omega, shape) == (1,) * vol
+        assert A.torus_config(omega, shape) == (1,) * vol

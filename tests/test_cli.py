@@ -200,3 +200,64 @@ def test_experiment_d2_n1_runs(tmp_path):
                  "--workers", "1", "--out-csv", str(out)])
     assert r.returncode == 0, r.stderr
     assert out.read_text().count("\n") == 2
+
+
+def test_config_precedence_follows_main_argv(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("alpha = 0.9\njmax = 3\nalphabet = 3\n")
+    assert main(["zeta", "--alpha", "0.1", "--jmax", "5", "--config", str(cfgfile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["alpha"] == 0.1 and payload["j_max"] == 5  # flags win
+    assert payload["alphabet"] == 3                            # config over default
+
+
+def test_config_values_take_the_option_type(tmp_path, capsys):
+    # --check-max-unknown defaults to None, so only its type can convert "0.5"
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("check_max_unknown = 0.5\nkmax = 3\n")
+    code = main(["experiment", "emptiness", "--n", "2", "--alpha", "0.5",
+                 "--trials", "20", "--seed", "1", "--config", str(cfgfile),
+                 "--out-csv", str(tmp_path / "e.csv")])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_threads_env_not_an_integer_is_a_json_error(tmp_path):
+    env = dict(os.environ, SFTLAB_THREADS="abc")
+    r = subprocess.run([sys.executable, "-m", "sftlab.cli", "experiment", "emptiness",
+                        "--n", "2", "--alpha", "0.5", "--trials", "4", "--seed", "1",
+                        "--out-csv", str(tmp_path / "e.csv")],
+                       env=env, capture_output=True, text=True)
+    assert r.returncode == 2
+    lines = r.stderr.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "DomainError"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_stdout_is_valid_json_for_a_divergent_zeta(capsys):
+    assert main(["zeta", "--alpha", "0.6", "--jmax", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["divergent"] is True
+    assert payload["log_value"] == "-inf"
+
+
+def test_truncated_omega_file_is_a_json_error(tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"SFTOMEGA\x01\x00")
+    r = run_cli(["emptiness", "--omega-in", str(bad)])
+    assert r.returncode == 2
+    lines = r.stderr.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "DomainError"
+
+
+def test_entropy_exact_d2_n3_k6(tmp_path, capsys):
+    omega_path = tmp_path / "omega.bin"
+    assert main(["sample", "--d", "2", "--n", "3", "--alpha", "0.8", "--seed", "5",
+                 "--omega-out", str(omega_path)]) == 0
+    capsys.readouterr()
+    assert main(["entropy", "--omega-in", str(omega_path), "--k", "6"]) == 0
+    est = json.loads(capsys.readouterr().out)
+    assert est["periodic_count_exact"] is True
+    assert float(est["periodic_count"]) <= int(est["pattern_count"])
