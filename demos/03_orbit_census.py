@@ -20,7 +20,7 @@ print()
 
 params = EnsembleParams(alphabet=2, d=1, n=8, alpha=0.55, seed=3)
 omega = sample(params, trial=0)
-present, _ = periodic_orbits_present(omega, max_size=6)
+present = periodic_orbits_present(omega, max_size=6)
 print(f"one draw at alpha={params.alpha}: {int(omega.bits.sum())}/{omega.n_windows} "
       f"windows retained")
 print(f"allowed orbits of size <= 6: {len(present)} of "

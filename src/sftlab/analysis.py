@@ -598,7 +598,6 @@ def entropy_estimate(omega: AllowedSet, k: int,
 
 
 def periodic_orbits_present(omega: AllowedSet, max_size: int):
-    """All allowed orbits of size <= max_size, plus an exhaustiveness flag."""
+    """All allowed orbits of size <= max_size."""
     orbs = enumerate_orbits(omega.alphabet, omega.d, max_size)
-    present = [o for o in orbs if orbit_allowed(omega, o)]
-    return present, True
+    return [o for o in orbs if orbit_allowed(omega, o)]

@@ -31,12 +31,27 @@ def _load_config(path):
     return out
 
 
-def _apply_config(parser, args, argv):
-    """Reparse argv with the config file's values as the command's defaults:
-    argparse converts them with each option's type, and explicit flags win."""
-    cfg = _load_config(args.config)
-    options = {a.dest for a in args.leaf._actions if a.option_strings}
-    args.leaf.set_defaults(**{k: v for k, v in cfg.items() if k in options})
+def _leaf_parsers(parser):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for s in subs for p in s.choices.values() for leaf in _leaf_parsers(p)]
+
+
+def _parse(parser, argv):
+    """flag > config > default for every option: the --config file's values
+    become the commands' defaults, so argparse converts them with each
+    option's type and explicit flags win, and an option the file supplies is
+    no longer required."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    cfg = _load_config(path) if path else {}
+    for leaf in _leaf_parsers(parser):
+        given = [a for a in leaf._actions if a.option_strings and a.dest in cfg]
+        for a in given:
+            a.required = False
+        leaf.set_defaults(**{a.dest: cfg[a.dest] for a in given})
     return parser.parse_args(argv)
 
 
@@ -55,7 +70,6 @@ def _parse_alphas(text):
 
 def _add_config(p):
     p.add_argument("--config", help="flat key = value config file")
-    p.set_defaults(leaf=p)
 
 
 def _add_common(p):
@@ -271,11 +285,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            args = _apply_config(parser, args, argv)
+        args = _parse(build_parser(), argv)
         return COMMANDS[args.command](args)
     except SftlabError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),

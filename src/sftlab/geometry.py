@@ -4,11 +4,17 @@ Coordinates are 0-based everywhere: the side-k hypercube is [0, k)^d and a face
 anchors its restricted coordinates at 0 or k-1.  Points are plain int tuples and
 compare lexicographically (Python tuple order), which is the ordering used for
 all "lexicographically minimal" constructions in the library.
+
+Regions (interiors, boundaries, thickenings, cube anchors) are computed on a
+boolean grid over the bounding box of the set, by separable box filters.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateGeometryError, DomainError
 
@@ -53,19 +59,6 @@ class Cube:
     def contains_point(self, p: Point) -> bool:
         return all(o <= x < o + self.side for o, x in zip(self.origin, p))
 
-    def contains_cube(self, other: "Cube") -> bool:
-        return all(
-            o <= oo and oo + other.side <= o + self.side
-            for o, oo in zip(self.origin, other.origin)
-        )
-
-    def translate(self, v: Point) -> "Cube":
-        return Cube(tuple(o + x for o, x in zip(self.origin, v)), self.side)
-
-    def center2(self) -> Point:
-        """Center in doubled coordinates (exact for even sides)."""
-        return tuple(2 * o + self.side - 1 for o in self.origin)
-
 
 class PointSet:
     """Explicit finite subset of Z^d, stored sorted (lex) and deduplicated."""
@@ -101,21 +94,15 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet({len(self.points)} pts)"
 
+    @classmethod
+    def from_grid(cls, grid, lo) -> "PointSet":
+        """The set cells of a boolean grid whose first cell sits at point lo."""
+        return cls(map(tuple, (np.argwhere(grid) + lo).tolist()))
+
     def min_point(self) -> Point:
         if not self.points:
             raise DomainError("empty point set has no minimum")
         return self.points[0]
-
-    def union(self, other) -> "PointSet":
-        return PointSet(self.points + list(other))
-
-    def difference(self, other) -> "PointSet":
-        o = set(tuple(p) for p in other)
-        return PointSet(p for p in self.points if p not in o)
-
-    def intersection(self, other) -> "PointSet":
-        o = set(tuple(p) for p in other)
-        return PointSet(p for p in self.points if p in o)
 
     def issubset(self, other) -> bool:
         if isinstance(other, PointSet):
@@ -171,15 +158,6 @@ class Face:
             else:
                 ranges.append(range(self.side))
         return [tuple(p) for p in product(*ranges)]
-
-    def contains_point(self, p: Point) -> bool:
-        for i, x in enumerate(p):
-            if i in self.restricted:
-                if x != self.anchor_of(i):
-                    return False
-            elif not 0 <= x < self.side:
-                return False
-        return True
 
 
 def full_cube(k: int, d: int) -> Cube:
@@ -242,48 +220,74 @@ def thickened_interior(face: Face, n: int) -> PointSet:
     return PointSet(product(*ranges))
 
 
-def dist(p: Point, q: Point) -> int:
-    """Chebyshev (l-infinity) distance."""
-    return max(abs(a - b) for a, b in zip(p, q))
-
-
 def ball_points(p: Point, r: int):
     return [tuple(q) for q in product(*(range(x - r, x + r + 1) for x in p))]
 
 
-def boundary(E, r: int) -> PointSet:
-    """Inner boundary: points of E within distance r of the complement."""
+def _check_cells(shape) -> None:
+    cells = prod(int(x) for x in shape)
+    if cells > MAX_POINTSET:
+        raise DomainError(f"grid of {cells} cells exceeds {MAX_POINTSET}")
+
+
+def _grid(E):
+    """E as a boolean grid over its bounding box, with the box's lower corner;
+    None for the empty set."""
+    if isinstance(E, Cube):
+        _check_cells((E.side,) * E.d)
+        return np.ones((E.side,) * E.d, dtype=bool), np.array(E.origin)
+    ps = as_pointset(E)
+    if not len(ps):
+        return None
+    pts = np.array(ps.points)
+    lo = pts.min(axis=0)
+    shape = pts.max(axis=0) - lo + 1
+    _check_cells(shape)
+    g = np.zeros(shape, dtype=bool)
+    g[tuple((pts - lo).T)] = True
+    return g, lo
+
+
+def _box_reduce(g, side: int, reduce, pad: int = 0):
+    """reduce (np.all or np.any) over every side-`side` box of g, after
+    padding g with `pad` empty cells on every side; indexed by each box's
+    lower corner.  One sliding window per axis, so each axis loses side-1."""
+    _check_cells([x + 2 * pad for x in g.shape])
+    g = np.pad(g, pad)
+    for axis in range(g.ndim):
+        g = reduce(sliding_window_view(g, side, axis=axis), axis=-1)
+    return g
+
+
+def _radius_region(E, r: int, f) -> PointSet:
+    """The points of f(grid, lower corner) -> (grid, lower corner) on E's grid."""
     if r < 0:
         raise DomainError("radius must be >= 0")
-    ps = as_pointset(E)
-    out = []
-    for p in ps:
-        if any(q not in ps for q in ball_points(p, r)):
-            out.append(p)
-    return PointSet(out)
+    grid = _grid(E)
+    if grid is None:
+        return PointSet([])
+    return PointSet.from_grid(*f(*grid))
+
+
+def _eroded(g, r: int):
+    """Cells of g whose radius-r ball lies inside g."""
+    return _box_reduce(g, 2 * r + 1, np.all, pad=r)
+
+
+def boundary(E, r: int) -> PointSet:
+    """Inner boundary: points of E within distance r of the complement."""
+    return _radius_region(E, r, lambda g, lo: (g & ~_eroded(g, r), lo))
 
 
 def interior(E, r: int) -> PointSet:
     """Points of E whose radius-r ball stays inside E."""
-    if r < 0:
-        raise DomainError("radius must be >= 0")
-    ps = as_pointset(E)
-    out = []
-    for p in ps:
-        if all(q in ps for q in ball_points(p, r)):
-            out.append(p)
-    return PointSet(out)
+    return _radius_region(E, r, lambda g, lo: (_eroded(g, r), lo))
 
 
 def thicken(E, r: int) -> PointSet:
     """Radius-r thickening of E (union of balls around its points)."""
-    if r < 0:
-        raise DomainError("radius must be >= 0")
-    ps = as_pointset(E)
-    out = set()
-    for p in ps:
-        out.update(ball_points(p, r))
-    return PointSet(out)
+    return _radius_region(
+        E, r, lambda g, lo: (_box_reduce(g, 2 * r + 1, np.any, pad=2 * r), lo - r))
 
 
 def cubes_in(E, n: int):
@@ -295,10 +299,8 @@ def cubes_in(E, n: int):
             return []
         anchors = product(*(range(o, o + E.side - n + 1) for o in E.origin))
         return [Cube(tuple(a), n) for a in anchors]
-    ps = as_pointset(E)
-    out = []
-    offsets = list(product(range(n), repeat=len(ps.min_point()) if len(ps) else 1))
-    for p in ps:
-        if all(tuple(x + o for x, o in zip(p, off)) in ps for off in offsets):
-            out.append(Cube(p, n))
-    return out
+    grid = _grid(E)
+    if grid is None or min(grid[0].shape) < n:
+        return []
+    g, lo = grid
+    return [Cube(a, n) for a in PointSet.from_grid(_box_reduce(g, n, np.all), lo)]

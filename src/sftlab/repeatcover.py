@@ -8,6 +8,11 @@ A repeat is an ordered pair of equal-content side-n cubes whose first member
 is the lexicographically least cube carrying that content.  A set J of repeats
 covers a pattern when every repeat's second cube lies inside area(J), the
 union of the second cubes; the uncovered part then determines the pattern.
+
+Areas, regions and anchor sets are boolean grids over integer boxes: a cover's
+area is painted cube by cube, and "the lex-least cube containing p" is the
+first set cell of the anchor grid inside the box of anchors whose cube
+contains p.
 """
 
 import math
@@ -18,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .geometry import (Cube, Face, PointSet, dist, faces_of_dim, face_count,
+from .geometry import (Cube, Face, PointSet, faces_of_dim, face_count,
                        full_cube, interior)
 from . import patterns as pt
 
@@ -48,14 +53,55 @@ class RepeatCover:
     n: int
     host: Cube
 
+    def area_grid(self) -> np.ndarray:
+        """The covered area as a boolean grid over the host cube."""
+        return _paint([r.s2 for r in self.repeats], self.n, _box(self.host))
+
     def area(self) -> PointSet:
-        pts = []
-        for r in self.repeats:
-            pts.extend(r.cube2().points())
-        return PointSet(pts)
+        return PointSet.from_grid(self.area_grid(), self.host.origin)
 
     def __len__(self):
         return len(self.repeats)
+
+
+def _box(cube: Cube):
+    """(lower, upper) corners of the half-open integer box of a cube."""
+    return cube.origin, tuple(o + cube.side for o in cube.origin)
+
+
+def _paint(anchors, n: int, box) -> np.ndarray:
+    """Boolean grid over the half-open box (lo, hi) of the side-n cubes at the
+    anchors, clipped to the box."""
+    lo, hi = box
+    g = np.zeros([h - l for l, h in zip(lo, hi)], dtype=bool)
+    for a in anchors:
+        g[tuple(slice(max(x - l, 0), max(x - l + n, 0)) for x, l in zip(a, lo))] = True
+    return g
+
+
+def _lex_least(occ: np.ndarray, lo, hi):
+    """Lex-least set cell of the anchor grid occ (indexed from 0) inside the
+    half-open box [lo, hi), or None."""
+    lo = [max(x, 0) for x in lo]
+    window = occ[tuple(slice(a, max(b, 0)) for a, b in zip(lo, hi))]
+    if not window.any():
+        return None
+    at = np.unravel_index(int(np.argmax(window)), window.shape)
+    return tuple(int(a) + x for a, x in zip(at, lo))
+
+
+def _containing(occ: np.ndarray, p, n: int):
+    """Lex-least anchor in occ whose side-n cube contains the point p."""
+    return _lex_least(occ, [x - n + 1 for x in p], [x + 1 for x in p])
+
+
+def _index(reps, n: int, box):
+    """(by_anchor, anchor grid, area grid) of repeats sorted by (s2, s1):
+    by_anchor maps each second anchor, in sorted order, to its first repeat."""
+    by_anchor = {}
+    for rep in reps:
+        by_anchor.setdefault(rep.s2, rep)
+    return by_anchor, _paint(by_anchor, 1, box), _paint(by_anchor, n, box)
 
 
 def find_repeats(u: pt.Pattern, n: int):
@@ -82,13 +128,6 @@ def full_cover(u: pt.Pattern, n: int) -> RepeatCover:
     return RepeatCover(find_repeats(u, n), n, u.shape)
 
 
-def area_of(repeats, n: int) -> PointSet:
-    pts = []
-    for r in repeats:
-        pts.extend(r.cube2().points())
-    return PointSet(pts)
-
-
 def is_repeat_cover(u: pt.Pattern, cover: RepeatCover) -> bool:
     """Definition check: every member is a repeat of u and every repeat's
     second cube lies in the covered area."""
@@ -96,8 +135,8 @@ def is_repeat_cover(u: pt.Pattern, cover: RepeatCover) -> bool:
     rep_set = {(r.s1, r.s2) for r in all_reps}
     if any((r.s1, r.s2) not in rep_set for r in cover.repeats):
         return False
-    area = cover.area()
-    return all(PointSet(r.cube2().points()).issubset(area) for r in all_reps)
+    target = _paint([r.s2 for r in all_reps], cover.n, _box(cover.host))
+    return not (target & ~cover.area_grid()).any()
 
 
 def reconstruct(cover: RepeatCover, w: pt.Pattern):
@@ -107,21 +146,17 @@ def reconstruct(cover: RepeatCover, w: pt.Pattern):
     host = cover.host
     k, d = host.side, host.d
     arr = np.zeros((k,) * d, dtype=np.uint8)
-    area = cover.area()
+    by_anchor, occ, area = _index(sorted(cover.repeats, key=lambda r: (r.s2, r.s1)),
+                                  cover.n, _box(host))
     w_idx = {p: s for p, s in zip(w.points(), w.symbols)}
-    # lex-first repeat covering each cell
-    cover_for = {}
-    for r in sorted(cover.repeats, key=lambda r: (r.s2, r.s1)):
-        for p in r.cube2().points():
-            cover_for.setdefault(p, r)
-    expected_off = {p for p in host.points() if p not in area}
+    expected_off = set(PointSet.from_grid(~area, host.origin))
     if set(w_idx) != expected_off:
         return None
     for p in host.points():  # lex order
-        if p in area:
-            r = cover_for[p]
-            q = tuple(x - s for x, s in zip(p, r.shift))
-            arr[p] = arr[q]
+        if area[p]:
+            # copy from the lex-first repeat covering p
+            r = by_anchor[_containing(occ, p, cover.n)]
+            arr[p] = arr[tuple(x - s for x, s in zip(p, r.shift))]
         else:
             arr[p] = w_idx[p]
     u = pt.Pattern.from_array(arr, w.alphabet)
@@ -187,21 +222,17 @@ def cover_near_face(k: int, n: int, face: Face, cubes, radius=None):
     """Sub-list of the given side-n cubes with the same union inside the
     radius-thickened face (radius defaults to n), of size at most
     2 * |union| / n.  Returns (selected cubes, transform record)."""
-    d = face.d
     if face.dimension < 1:
         raise DomainError("face must have dimension >= 1")
     radius = n if radius is None else radius
     perm, flips = _canonical_face_transform(face)
-    # region membership in original coordinates
-    def in_region(p):
-        if any(not 0 <= x < k for x in p):
-            return False
-        return all(abs(p[i] - face.anchor_of(i)) <= radius for i in face.restricted)
-
-    relevant = []
-    for c in cubes:
-        if any(in_region(q) for q in c.points()):
-            relevant.append(c)
+    # the region is a box: [0, k) on free axes, within radius of the anchor
+    # on restricted ones; a cube meets it iff their intervals overlap per axis
+    start, stop = [0] * face.d, [k] * face.d
+    for i, a in zip(face.restricted, face.anchor):
+        start[i], stop[i] = max(a - radius, 0), min(a + radius + 1, k)
+    relevant = [c for c in cubes
+                if all(o < b and o + n > a for o, a, b in zip(c.origin, start, stop))]
     by_line = {}
     for c in relevant:
         a = _apply_transform_anchor(c.origin, perm, flips, k, n)
@@ -218,54 +249,23 @@ def cover_near_face(k: int, n: int, face: Face, cubes, radius=None):
                 used.add((lo, hi))
                 selected.append(c)
     # same union inside the region
-    def union_in_region(cs):
-        out = set()
-        for c in cs:
-            out.update(q for q in c.points() if in_region(q))
-        return out
-
-    u_all, u_sel = union_in_region(relevant), union_in_region(selected)
-    assert u_sel == u_all, "near-face selection changed the covered region"
-    assert n * len(selected) <= 2 * len(u_all)
+    box = (start, stop)
+    u_all = _paint([c.origin for c in relevant], n, box)
+    u_sel = _paint([c.origin for c in selected], n, box)
+    assert np.array_equal(u_sel, u_all), "near-face selection changed the covered region"
+    assert n * len(selected) <= 2 * int(u_all.sum())
     return selected, {"axis_order": perm, "reflected": flips}
 
 
 # ---------------------------------------------------------------------------
 # Necessary points between skeleton thickenings
 
-def _axis_projection(p, axis, value):
-    q = list(p)
-    q[axis] = value
-    return tuple(q)
-
-
-def _line_between(p, q):
-    """Axis-aligned segment between p and q (they differ in one coordinate)."""
-    axes = [i for i in range(len(p)) if p[i] != q[i]]
-    if not axes:
-        return [p]
-    (axis,) = axes
-    lo, hi = sorted((p[axis], q[axis]))
-    return [_axis_projection(p, axis, v) for v in range(lo, hi + 1)]
-
-
-def is_face_necessary(p, face: Face, T) -> bool:
-    """p is necessary for the face when, along every restricted axis, the
-    segment from p to its projection onto the face's hyperplane meets T only
-    at p itself."""
-    if p not in T:
-        return False
-    for i in face.restricted:
-        seg = _line_between(p, _axis_projection(p, i, face.anchor_of(i)))
-        if any(q != p and q in T for q in seg):
-            return False
-    return True
-
-
 def necessary_points(T: PointSet, k: int, n: int, ell: int, r: int) -> PointSet:
     """All points necessary for some dimension-ell face, within the band
-    between the r- and n-thickenings of the ell-skeleton.  Their number is
-    less than d(k^d - |T|)/r (both sides zero when T fills the cube)."""
+    between the r- and n-thickenings of the ell-skeleton.  p is necessary for
+    a face when, along every restricted axis, the segment from p to the face's
+    hyperplane meets T only at p.  Their number is less than d(k^d - |T|)/r
+    (both sides zero when T fills the cube)."""
     if not T.points:
         return PointSet([])
     d = len(T.points[0])
@@ -275,24 +275,25 @@ def necessary_points(T: PointSet, k: int, n: int, ell: int, r: int) -> PointSet:
         raise DomainError("need 1 <= r < n")
     if n >= k:
         raise DomainError("need n < k")
-    faces = faces_of_dim(k, d, ell)
-
-    def skel_dist(p):
-        return min(
-            max(abs(p[i] - f.anchor_of(i)) for i in f.restricted) if f.restricted else 0
-            for f in faces
-        )
-
-    out = []
-    for p in T:
-        if not all(0 <= x < k for x in p):
-            continue
-        sd = skel_dist(p)
-        if not (r < sd <= n):
-            continue
-        if any(is_face_necessary(p, f, T) for f in faces):
-            out.append(p)
-    result = PointSet(out)
+    g = _paint(T, 1, ((0,) * d, (k,) * d))
+    # clear[i, a]: the cells of T with no other cell of T between them and
+    # the hyperplane x_i = a
+    clear = {}
+    for i in range(d):
+        clear[i, 0] = np.cumsum(g, axis=i, dtype=np.int32) == 1
+        clear[i, k - 1] = np.flip(np.cumsum(np.flip(g, i), axis=i, dtype=np.int32), i) == 1
+    axis = [np.arange(k).reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
+    skel_dist = np.full(g.shape, k)
+    necessary = np.zeros(g.shape, dtype=bool)
+    for f in faces_of_dim(k, d, ell):
+        face_dist, face_clear = 0, g
+        for i, a in zip(f.restricted, f.anchor):
+            face_dist = np.maximum(face_dist, np.abs(axis[i] - a))
+            face_clear = face_clear & clear[i, a]
+        skel_dist = np.minimum(skel_dist, face_dist)
+        necessary |= face_clear
+    band = necessary & (r < skel_dist) & (skel_dist <= n)
+    result = PointSet.from_grid(band, (0,) * d)
     bound = Fraction(d * (k ** d - len(T)), r)
     assert len(result) < bound or (len(result) == 0 and bound == 0)
     return result
@@ -329,17 +330,18 @@ def cover_interior(k: int, d0: int, n: int, cubes):
     that interior.  Raises naming a witness point when the density premise
     fails."""
     box_interior = interior(full_cube(k, d0), n)
-    centers = [(c, c.center2()) for c in cubes]
+    host = ((0,) * d0, (k,) * d0)
+    # a cube's center is within n/6 of p when 3 * |2 p_i - (2 o_i + n - 1)| <= n
+    # on every axis (doubled coordinates), i.e. when every p_i - o_i lies in
+    # `near`; for interior points those origins lie inside [0, k)^d0
+    near = [t for t in range(n) if 3 * abs(2 * t - n + 1) <= n]
+    occ = _paint([c.origin for c in cubes], 1, host)
 
     def nearest(p):
-        p2 = tuple(2 * x for x in p)
-        best = None
-        for c, c2 in centers:
-            # rho(p, c) <= n/6 in doubled coordinates: 3 * (2 rho) <= n
-            if max(abs(a - b) for a, b in zip(p2, c2)) * 3 <= n:
-                if best is None or c.origin < best.origin:
-                    best = c
-        return best
+        if not near:
+            return None
+        o = _lex_least(occ, [x - near[-1] for x in p], [x - near[0] + 1 for x in p])
+        return None if o is None else Cube(o, n)
 
     # density precondition
     for p in box_interior:
@@ -356,11 +358,9 @@ def cover_interior(k: int, d0: int, n: int, cubes):
             seen.add(c.origin)
             chosen.append(c)
     # verify coverage and the cardinality bound
-    cover_pts = set()
-    for c in chosen:
-        cover_pts.update(c.points())
-    for p in box_interior:
-        assert p in cover_pts, f"interior point {p} left uncovered"
+    covered = _paint([c.origin for c in chosen], n, host)
+    inner = np.array(box_interior.points, dtype=int).reshape(-1, d0)
+    assert covered[tuple(inner.T)].all(), "interior point left uncovered"
     assert len(chosen) * (n ** d0) <= (2 * k) ** d0
     return chosen
 
@@ -383,28 +383,24 @@ class CoverReport:
         self.size = len(self.cover.repeats)
 
 
-def _patch_residual(u, n, repeats):
+def _repeat_index(u: pt.Pattern, n: int):
+    """_index of all repeats of u over its cube, computed once per cover."""
+    return _index(find_repeats(u, n), n, _box(u.shape))
+
+
+def _patch_residual(repeats, n, index):
     """Add lex-least repeats covering any repeat area missed by the selection;
     returns (patched list, number added)."""
-    all_reps = find_repeats(u, n)
-    target = area_of(all_reps, n)
-    have = set(area_of(repeats, n))
-    missing = [p for p in target if p not in have]
-    added = 0
-    reps_sorted = sorted(all_reps, key=lambda r: (r.s2, r.s1))
+    by_anchor, occ, target = index
+    have = _paint([r.s2 for r in repeats], n, ((0,) * target.ndim, target.shape))
     out = list(repeats)
-    while missing:
-        p = missing[0]
-        for r in reps_sorted:
-            if r.cube2().contains_point(p):
-                out.append(r)
-                added += 1
-                have.update(r.cube2().points())
-                break
-        else:
-            raise AssertionError("repeat area point not covered by any repeat")
-        missing = [q for q in missing if q not in have]
-    return out, added
+    for p in map(tuple, np.argwhere(target & ~have).tolist()):  # lex order
+        if have[p]:
+            continue
+        s2 = _containing(occ, p, n)
+        out.append(by_anchor[s2])
+        have[tuple(slice(x, x + n) for x in s2)] = True
+    return out, len(out) - len(repeats)
 
 
 def efficient_cover(u: pt.Pattern, n: int, r: int, ell: int) -> CoverReport:
@@ -423,35 +419,23 @@ def efficient_cover(u: pt.Pattern, n: int, r: int, ell: int) -> CoverReport:
     j = len(pt.windows(u, n))
     if j * (3 ** d) >= n ** (ell + 1):
         raise DomainError("window count too large for this skeleton dimension")
-    all_reps = find_repeats(u, n)
-    area_all = area_of(all_reps, n)
-    by_anchor = {}
-    for rep in sorted(all_reps, key=lambda t: (t.s2, t.s1)):
-        by_anchor.setdefault(rep.s2, rep)
-    rep_cubes = [Cube(a, n) for a in sorted(by_anchor)]
+    index = _repeat_index(u, n)
+    by_anchor, occ, area_all = index
+    rep_cubes = [Cube(a, n) for a in by_anchor]
 
     selected = []
     # region 1: near each ell-face, radius r
     for face in faces_of_dim(k, d, ell):
         kept, _ = cover_near_face(k, n, face, rep_cubes, radius=r)
         selected.extend(by_anchor[c.origin] for c in kept)
-    j1 = len(selected)
     # region 2: necessary points in the band
-    band_necessary = necessary_points(area_all, k, n, ell, r)
-    j2 = 0
     have_cubes = {rep.s2 for rep in selected}
-    for p in band_necessary:
-        rep = None
-        for cand in sorted(by_anchor):
-            if Cube(cand, n).contains_point(p):
-                rep = by_anchor[cand]
-                break
-        if rep is not None and rep.s2 not in have_cubes:
-            have_cubes.add(rep.s2)
-            selected.append(rep)
-            j2 += 1
+    for p in necessary_points(PointSet.from_grid(area_all, (0,) * d), k, n, ell, r):
+        s2 = _containing(occ, p, n)
+        if s2 is not None and s2 not in have_cubes:
+            have_cubes.add(s2)
+            selected.append(by_anchor[s2])
     # region 3: interiors of faces of dimension > ell
-    j3 = 0
     for d0 in range(ell + 1, d + 1):
         for face in faces_of_dim(k, d, d0):
             # coordinates of the face as a d0-cube
@@ -464,33 +448,23 @@ def efficient_cover(u: pt.Pattern, n: int, r: int, ell: int) -> CoverReport:
                        for i in face.restricted):
                     in_face_cubes.append(
                         (Cube(tuple(c.origin[i] for i in free), n), c))
-            try:
-                kept = cover_interior(k, d0, n, [fc for fc, _ in in_face_cubes])
-            except PreconditionError:
-                # density premise needs j < n^{d0}/3^d; guaranteed for d0 > ell
-                raise
+            # density premise needs j < n^{d0}/3^d; guaranteed for d0 > ell
+            kept = cover_interior(k, d0, n, [fc for fc, _ in in_face_cubes])
             kept_keys = {c.origin for c in kept}
             for fc, c in in_face_cubes:
                 if fc.origin in kept_keys:
                     kept_keys.discard(fc.origin)
-                    if by_anchor[c.origin].s2 not in have_cubes:
-                        have_cubes.add(by_anchor[c.origin].s2)
+                    if c.origin not in have_cubes:
+                        have_cubes.add(c.origin)
                         selected.append(by_anchor[c.origin])
-                        j3 += 1
     # dedupe, then patch anything the three sweeps missed
-    uniq = []
-    seen = set()
-    for rep in selected:
-        key = (rep.s1, rep.s2)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(rep)
-    patched_list, added = _patch_residual(u, n, uniq)
+    uniq = list({(rep.s1, rep.s2): rep for rep in selected}.values())
+    patched_list, added = _patch_residual(uniq, n, index)
     cover = RepeatCover(sorted(patched_list, key=lambda t: (t.s2, t.s1)), n, u.shape)
-    area = cover.area()
-    assert set(area) == set(area_all), "covered area must match the full repeat area"
+    assert np.array_equal(cover.area_grid(), area_all), \
+        "covered area must match the full repeat area"
     t1 = Fraction(2 * face_count(d, ell) * (k ** ell) * (r ** (d - ell)), n)
-    t2 = Fraction(d * (k ** d - len(area)), r)
+    t2 = Fraction(d * (k ** d - int(area_all.sum())), r)
     t3 = sum(face_count(d, d0) * Fraction(2 * k, n) ** d0 for d0 in range(ell + 1, d + 1))
     total = t1 + t2 + t3
     assert len(cover.repeats) <= total, (
@@ -503,17 +477,13 @@ def full_cube_cover(u: pt.Pattern, n: int) -> RepeatCover:
     """Cover selected by the near-face reduction applied to the whole cube
     (the cube is its own top-dimensional face): at most 2 k^d / n repeats."""
     d, k = u.d, u.shape.side
-    all_reps = find_repeats(u, n)
-    by_anchor = {}
-    for rep in sorted(all_reps, key=lambda t: (t.s2, t.s1)):
-        by_anchor.setdefault(rep.s2, rep)
-    rep_cubes = [Cube(a, n) for a in sorted(by_anchor)]
+    index = _repeat_index(u, n)
+    by_anchor, _, area_all = index
     face = Face(d, k, (), ())
-    kept, _ = cover_near_face(k, n, face, rep_cubes, radius=n)
-    reps = [by_anchor[c.origin] for c in kept]
-    patched, _ = _patch_residual(u, n, reps)
+    kept, _ = cover_near_face(k, n, face, [Cube(a, n) for a in by_anchor], radius=n)
+    patched, _ = _patch_residual([by_anchor[c.origin] for c in kept], n, index)
     cover = RepeatCover(sorted(patched, key=lambda t: (t.s2, t.s1)), n, u.shape)
-    assert set(cover.area()) == set(area_of(all_reps, n))
+    assert np.array_equal(cover.area_grid(), area_all)
     assert len(cover.repeats) * n <= 2 * (k ** d)
     return cover
 
@@ -573,5 +543,5 @@ def area_deficit_ok(u: pt.Pattern, n: int, cover: RepeatCover) -> bool:
     if k <= (2 * d + 1) * n:
         raise DomainError("need k > (2d+1) n")
     j = len(pt.windows(u, n))
-    lhs = k ** d - len(cover.area())
+    lhs = k ** d - int(cover.area_grid().sum())
     return k * (lhs - j) <= 4 * d * n * j

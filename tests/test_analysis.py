@@ -88,12 +88,9 @@ def test_nonempty_iff_orbit_present_1d():
         omega = sample(params, t)
         v = A.decide_empty_1d(omega)
         if v.is_nonempty:
-            present, exhaustive = A.periodic_orbits_present(
-                omega, max(8, v.certificate_orbit.size))
-            assert exhaustive and present
+            assert A.periodic_orbits_present(omega, max(8, v.certificate_orbit.size))
         else:
-            present, _ = A.periodic_orbits_present(omega, 8)
-            assert not present
+            assert not A.periodic_orbits_present(omega, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +249,9 @@ def test_entropy_lower_chain():
 
 def test_periodic_orbits_present_examples():
     full = AllowedSet(1, 2, 2, np.ones(4, bool))
-    present, exhaustive = A.periodic_orbits_present(full, 4)
-    assert exhaustive and len(present) == 2 + 1 + 2 + 3
+    assert len(A.periodic_orbits_present(full, 4)) == 2 + 1 + 2 + 3
     none = AllowedSet(1, 2, 2, np.zeros(4, bool))
-    assert A.periodic_orbits_present(none, 4)[0] == []
+    assert A.periodic_orbits_present(none, 4) == []
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,29 @@ def test_config_precedence_follows_main_argv(tmp_path, capsys):
     assert payload["alphabet"] == 3                            # config over default
 
 
+def test_config_supplies_a_required_option(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("jmax = 5\n")
+    assert main(["zeta", "--alpha", "0.1", "--config", str(cfgfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["j_max"] == 5
+    # a required option that neither a flag nor the config gives still fails
+    with pytest.raises(SystemExit) as ei:
+        main(["zeta", "--config", str(cfgfile)])
+    assert ei.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_cover_takes_n_from_config(tmp_path, capsys):
+    pat = tmp_path / "pat.txt"
+    word = np.array([(0, 0, 1)[i % 3] for i in range(24)], dtype=np.uint8)
+    P.save_text(pat, P.Pattern.from_array(word, 2))
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("n = 3\n")
+    assert main(["cover", "--in", str(pat), "--config", str(cfgfile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 3 and payload["windows"] == 3
+
+
 def test_config_values_take_the_option_type(tmp_path, capsys):
     # --check-max-unknown defaults to None, so only its type can convert "0.5"
     cfgfile = tmp_path / "cfg.txt"

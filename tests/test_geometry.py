@@ -135,3 +135,16 @@ def test_lex_order_total_and_minimum():
     # strict total order on tuples
     a, b = (0, 3), (0, 4)
     assert a < b and not b < a and a != b
+
+
+def test_region_grid_over_budget_is_refused():
+    # two points, but their bounding box holds 2001^2 > MAX_POINTSET cells
+    sparse = G.PointSet([(0, 0), (2000, 2000)])
+    for region in (G.interior, G.boundary, G.thicken):
+        with pytest.raises(DomainError):
+            region(sparse, 1)
+    with pytest.raises(DomainError):
+        G.cubes_in(sparse, 1)
+    # a grid within budget that padding pushes over it is refused too
+    with pytest.raises(DomainError):
+        G.thicken(G.PointSet([(0, 0), (990, 990)]), 10)

@@ -1,5 +1,6 @@
 """Source hygiene: no module defines the same top-level name twice (a later
-definition silently shadows the earlier one)."""
+definition silently shadows the earlier one), and no module other than the
+package's __init__ imports a name it never uses."""
 
 import ast
 from collections import Counter
@@ -28,3 +29,19 @@ def test_no_duplicate_top_level_definitions(path):
     counts = Counter(_top_level_names(tree))
     dups = sorted(name for name, c in counts.items() if c > 1)
     assert not dups, f"{path.name} defines {dups} more than once"
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(_imported_names(tree)) - used)
+    assert not unused, f"{path.name} imports {unused} and never uses them"

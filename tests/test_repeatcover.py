@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -141,7 +142,8 @@ def test_cover_near_face_single_cube():
     assert rec["axis_order"][0] not in face.restricted
 
 
-def test_cover_near_face_bound_random_instances():
+def near_face_instances():
+    """(k, n, face, cubes) of 500 random near-face selections."""
     rng = np.random.default_rng(4)
     k, n = 20, 4
     for trial in range(500):
@@ -149,7 +151,11 @@ def test_cover_near_face_bound_random_instances():
                  Face(2, k, (), ())]
         face = faces[trial % 3]
         anchors = rng.integers(0, k - n + 1, size=(rng.integers(1, 40), 2))
-        cubes = [Cube((int(a), int(b)), n) for a, b in anchors]
+        yield k, n, face, [Cube((int(a), int(b)), n) for a, b in anchors]
+
+
+def test_cover_near_face_bound_random_instances():
+    for k, n, face, cubes in near_face_instances():
         kept, _ = R.cover_near_face(k, n, face, cubes)
         def region_union(cs):
             out = set()
@@ -267,14 +273,18 @@ def test_efficient_cover_checkerboard():
     assert set(rep.cover.area()) == set(R.full_cover(u, 6).area())
 
 
-def test_efficient_cover_random_periodic_instances():
+def periodic_cover_instances():
+    """30x30 periodic patterns inside the n=6, ell=1 window band."""
     rng = np.random.default_rng(8)
     for trial in range(6):
         periods = (int(rng.integers(1, 3)), int(rng.integers(1, 4)))
         u = periodic_pattern(rng, 30, 2, periods)
-        j = len(P.windows(u, 6))
-        if j * (3 ** 2) >= 6 ** 2:
-            continue
+        if len(P.windows(u, 6)) * (3 ** 2) < 6 ** 2:
+            yield u
+
+
+def test_efficient_cover_random_periodic_instances():
+    for u in periodic_cover_instances():
         rep = R.efficient_cover(u, 6, 3, 1)
         assert R.is_repeat_cover(u, rep.cover)
         assert rep.size <= rep.bound_total
@@ -329,18 +339,20 @@ def test_area_deficit_needs_wide_cube():
         R.area_deficit_ok(u, 4, R.full_cover(u, 4))
 
 
-def test_full_cube_cover_bound_and_validity():
+def full_cube_instances():
+    """(pattern, n): 20 random words of length 24, then 5 random 12x12 grids."""
     rng = np.random.default_rng(11)
     for _ in range(20):
-        u = rand_pattern(rng, (24,))
-        cov = R.full_cube_cover(u, 4)
-        assert R.is_repeat_cover(u, cov)
-        assert len(cov.repeats) * 4 <= 2 * 24
+        yield rand_pattern(rng, (24,)), 4
     for _ in range(5):
-        u = rand_pattern(rng, (12, 12))
-        cov = R.full_cube_cover(u, 3)
+        yield rand_pattern(rng, (12, 12)), 3
+
+
+def test_full_cube_cover_bound_and_validity():
+    for u, n in full_cube_instances():
+        cov = R.full_cube_cover(u, n)
         assert R.is_repeat_cover(u, cov)
-        assert len(cov.repeats) * 3 <= 2 * 144
+        assert len(cov.repeats) * n <= 2 * len(u.symbols)
 
 
 def test_asymptotic_cover_1d_and_trend():
@@ -378,9 +390,9 @@ def test_asymptotic_cover_band_guard():
         R.asymptotic_cover(u, 16, 1 / 3)  # constant: j = 1 < n/5
 
 
-def test_efficient_cover_larger_band_n9():
+def n9_cover_instances():
+    """30x30 periodic patterns inside the n=9, ell=1 window band."""
     rng = np.random.default_rng(5)
-    checked = 0
     for (p1, p2) in [(2, 4), (1, 7), (2, 3)]:
         tile = (rng.random((p1, p2)) < 0.5).astype(np.uint8)
         arr = np.zeros((30, 30), dtype=np.uint8)
@@ -388,10 +400,73 @@ def test_efficient_cover_larger_band_n9():
             for j in range(30):
                 arr[i, j] = tile[i % p1, j % p2]
         u = P.Pattern.from_array(arr, 2)
-        if len(P.windows(u, 9)) * 9 >= 81:
-            continue
+        if len(P.windows(u, 9)) * 9 < 81:
+            yield u
+
+
+def test_efficient_cover_larger_band_n9():
+    checked = 0
+    for u in n9_cover_instances():
         rep = R.efficient_cover(u, 9, 4, 1)
         assert R.is_repeat_cover(u, rep.cover)
         assert rep.size <= rep.bound_total
         checked += 1
     assert checked >= 2
+
+
+# ---------------------------------------------------------------------------
+# golden selections: SHA-256 of the exact repeats each construction picks
+
+D2_COVER_TILE = [[0, 1, 0, 0, 0], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0],
+                 [0, 1, 0, 1, 0], [0, 1, 1, 1, 1]]  # 25 distinct torus translates
+
+
+def _pairs(cover):
+    return sorted((r.s1, r.s2) for r in cover.repeats)
+
+
+def _golden_d2_cover():
+    arr = np.tile(np.array(D2_COVER_TILE, dtype=np.uint8), (13, 13))[:64, :64]
+    return [_pairs(R.asymptotic_cover(P.Pattern.from_array(arr, 2), 16, 0.5).cover)]
+
+
+def _golden_checkerboard_81():
+    arr = np.fromfunction(lambda i, j: (i + j) % 2, (81, 81)).astype(np.uint8)
+    return [_pairs(R.asymptotic_cover(P.Pattern.from_array(arr, 2), 27, 1 / 3).cover)]
+
+
+def _golden_efficient():
+    arr = np.fromfunction(lambda i, j: (i + j) % 2, (30, 30)).astype(np.uint8)
+    runs = [(P.Pattern.from_array(arr, 2), 6, 3)]
+    runs += [(u, 6, 3) for u in periodic_cover_instances()]
+    runs += [(u, 9, 4) for u in n9_cover_instances()]
+    return [_pairs(R.efficient_cover(u, n, r, 1).cover) for u, n, r in runs]
+
+
+def _golden_full_cube():
+    return [_pairs(R.full_cube_cover(u, n)) for u, n in full_cube_instances()]
+
+
+def _golden_near_face():
+    return [[c.origin for c in R.cover_near_face(k, n, face, cubes)[0]]
+            for k, n, face, cubes in near_face_instances()]
+
+
+GOLDEN_SELECTIONS = {
+    "d2_cover": (_golden_d2_cover,
+        "3123f5b6e742955653c6ee5ab4da42b93c0d94faeb379006d3217df6575434df"),
+    "checkerboard_81": (_golden_checkerboard_81,
+        "6fafa3741965cc260d5bb8f2dba497a85f9aad01055b52e1c5bcdd6a6f014bed"),
+    "efficient_cover": (_golden_efficient,
+        "28659bb5419b27d1a72ff9fc1920aeaaa7acb9a9bdf4b155ef4df8f20a81a1f4"),
+    "full_cube_cover": (_golden_full_cube,
+        "4e0b58fa9fd14305cfed8d6c25d7eacaa526b55bf0313da36440fba91594f8be"),
+    "cover_near_face": (_golden_near_face,
+        "af4a4efeb1a84412586b3451a3a95b211c9732204fea90d3c125c3d4a0a81afe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SELECTIONS))
+def test_cover_selections_match_golden(name):
+    build, digest = GOLDEN_SELECTIONS[name]
+    assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
