@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
 from .ensemble import AllowedSet, orbit_allowed, stream_words, TAG_BOUNDARY
-from .orbits import Orbit, enumerate_orbits, orbit_from_config
+from .orbits import Orbit, orbit_from_config, orbit_window_table
 
 FRONTIER_BUDGET_BITS = 22
 COUNT_STATE_BUDGET_BITS = 18
@@ -598,6 +598,8 @@ def entropy_estimate(omega: AllowedSet, k: int,
 
 
 def periodic_orbits_present(omega: AllowedSet, max_size: int):
-    """All allowed orbits of size <= max_size."""
-    orbs = enumerate_orbits(omega.alphabet, omega.d, max_size)
-    return [o for o in orbs if orbit_allowed(omega, o)]
+    """All allowed orbits of size <= max_size: those whose windows are all
+    retained, counted against the cached orbit window masks."""
+    orbs, masks, _ = orbit_window_table(omega.alphabet, omega.d, omega.n, max_size)
+    hits = masks.astype(np.float32) @ omega.bits.astype(np.float32)
+    return [o for o, ok in zip(orbs, hits == masks.sum(axis=1)) if ok]

@@ -93,14 +93,8 @@ class AllowedSet:
     def n_windows(self) -> int:
         return len(self.bits)
 
-    def allowed(self, code: int) -> bool:
-        return bool(self.bits[code])
-
     def allowed_codes(self, codes) -> np.ndarray:
         return self.bits[np.asarray(codes, dtype=np.int64)]
-
-    def forbidden_codes(self):
-        return np.nonzero(~self.bits)[0]
 
     def __eq__(self, other):
         return (

@@ -23,3 +23,7 @@ class PreconditionError(SftlabError, ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class CertificateError(SftlabError):
+    """A result failed the independent check that certifies it."""

@@ -105,18 +105,6 @@ def _json_safe(v):
     return v
 
 
-def _chunk_ranges(trials: int, workers: int):
-    per = (trials + workers - 1) // workers
-    return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-
-
-def _map_chunks(fn, argses, workers: int):
-    if workers <= 1 or len(argses) <= 1:
-        return [fn(a) for a in argses]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, argses))
-
-
 def max_workers_from_env(requested: int) -> int:
     cap = os.environ.get("SFTLAB_THREADS")
     if not cap:
@@ -125,6 +113,23 @@ def max_workers_from_env(requested: int) -> int:
         return max(1, min(requested, int(cap)))
     except ValueError:
         raise DomainError(f"SFTLAB_THREADS={cap!r} is not an integer") from None
+
+
+def _chunks_per_alpha(fn, cfg: ExperimentConfig, *extra):
+    """fn over every (alpha, trial range) of the experiment, in one process
+    pool; per alpha, the list of chunk results in trial order.  A chunk's
+    args are (alphabet, d, n, alpha, seed, lo, hi, *extra)."""
+    workers = max_workers_from_env(cfg.workers)
+    per = (cfg.trials + workers - 1) // workers
+    ranges = [(lo, min(lo + per, cfg.trials)) for lo in range(0, cfg.trials, per)]
+    argses = [(cfg.alphabet, cfg.d, cfg.n, alpha, cfg.seed, lo, hi, *extra)
+              for alpha in cfg.alphas for lo, hi in ranges]
+    if workers <= 1 or len(argses) <= 1:
+        parts = [fn(a) for a in argses]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(fn, argses))
+    return [parts[i:i + len(ranges)] for i in range(0, len(parts), len(ranges))]
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +208,10 @@ def _entropy_chunk(args):
 def run_emptiness_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Per alpha: verdict frequencies against the truncated zeta product.
     d = 1 rows are exact decisions (no Unknown)."""
-    workers = max_workers_from_env(cfg.workers)
     rows = []
-    for alpha in cfg.alphas:
-        argses = [
-            (cfg.alphabet, cfg.d, cfg.n, alpha, cfg.seed, lo, hi, cfg.k_max, cfg.torus_max)
-            for lo, hi in _chunk_ranges(cfg.trials, workers)
-        ]
-        verdicts = np.concatenate(_map_chunks(_emptiness_chunk, argses, workers))
+    per_alpha = _chunks_per_alpha(_emptiness_chunk, cfg, cfg.k_max, cfg.torus_max)
+    for alpha, parts in zip(cfg.alphas, per_alpha):
+        verdicts = np.concatenate(parts)
         n_empty = int((verdicts == VERDICT_EMPTY).sum())
         n_nonempty = int((verdicts == VERDICT_NONEMPTY).sum())
         n_unknown = int((verdicts == VERDICT_UNKNOWN).sum())
@@ -249,15 +250,10 @@ def run_entropy_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.k < cfg.n:
         raise DomainError("entropy experiment needs k >= n")
-    workers = max_workers_from_env(cfg.workers)
     vol = cfg.k ** cfg.d
     rows = []
-    for alpha in cfg.alphas:
-        argses = [
-            (cfg.alphabet, cfg.d, cfg.n, alpha, cfg.seed, lo, hi, cfg.k, cfg.boundary_samples)
-            for lo, hi in _chunk_ranges(cfg.trials, workers)
-        ]
-        parts = _map_chunks(_entropy_chunk, argses, workers)
+    per_alpha = _chunks_per_alpha(_entropy_chunk, cfg, cfg.k, cfg.boundary_samples)
+    for alpha, parts in zip(cfg.alphas, per_alpha):
         pattern_counts = np.concatenate([p[0] for p in parts])
         periodic_counts = np.concatenate([p[1] for p in parts])
         target = max(0.0, math.log(alpha * cfg.alphabet)) if alpha > 0 else 0.0
@@ -301,15 +297,10 @@ def run_orbit_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     verdict, no enumerated allowed orbit, and no orbit certificate attached to
     the verdict; in d = 1 every nonempty verdict carries a cycle-derived orbit,
     so the candidate count is structurally zero."""
-    workers = max_workers_from_env(cfg.workers)
     rows = []
-    for alpha in cfg.alphas:
-        argses = [
-            (cfg.alphabet, cfg.d, cfg.n, alpha, cfg.seed, lo, hi,
-             cfg.k_max, cfg.torus_max, cfg.orbit_max)
-            for lo, hi in _chunk_ranges(cfg.trials, workers)
-        ]
-        parts = _map_chunks(_orbit_chunk, argses, workers)
+    per_alpha = _chunks_per_alpha(_orbit_chunk, cfg, cfg.k_max, cfg.torus_max,
+                                  cfg.orbit_max)
+    for alpha, parts in zip(cfg.alphas, per_alpha):
         verdicts = np.concatenate([p[0] for p in parts])
         any_small = np.concatenate([p[1] for p in parts])
         no_small_nonempty = np.concatenate([p[2] for p in parts])

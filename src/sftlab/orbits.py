@@ -11,16 +11,17 @@ order.  The stored symbols are the lex-least among all domain translates, so
 orbit equality is plain tuple comparison.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, ResourceBudgetError
+from .errors import CertificateError, DomainError, ResourceBudgetError
 from . import patterns as pt
 
-ENUM_BUDGET = 1 << 22   # max configurations touched by one enumeration call
+ENUM_BUDGET = 1 << 22   # max configurations per enumeration, symbol entries per pass
 COUNT_BUDGET = {1: 400, 2: 40, 3: 12}
 
 
@@ -101,21 +102,37 @@ def lattice_contains(H, v) -> bool:
     return True
 
 
+def reduce_points(H, pts) -> np.ndarray:
+    """Flat lex indices, in the box fundamental domain, of points (..., d)
+    modulo the lattice."""
+    d = len(H)
+    x = np.array(pts, dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        q = x[..., j] // H[j][j]
+        for i in range(j + 1):
+            x[..., i] -= q * H[i][j]
+    diag = _diagonal(H)
+    return x @ np.array([math.prod(diag[i + 1:]) for i in range(d)], dtype=np.int64)
+
+
 def reduce_point(H, p):
     """Canonical representative of p modulo the lattice: 0 <= x_i < H[i][i]."""
-    d = len(H)
-    x = list(p)
-    for j in range(d - 1, -1, -1):
-        q = x[j] // H[j][j]
-        if q:
-            for i in range(j + 1):
-                x[i] -= q * H[i][j]
-    return tuple(x)
+    flat = reduce_points(H, [p])[0]
+    return tuple(int(x) for x in np.unravel_index(flat, _diagonal(H)))
+
+
+def _diagonal(H):
+    return tuple(H[i][i] for i in range(len(H)))
 
 
 def fundamental_domain(H):
     """Lex-ordered points of the box fundamental domain."""
     return list(product(*(range(H[i][i]) for i in range(len(H)))))
+
+
+def _domain_array(H) -> np.ndarray:
+    """The fundamental domain as an (index, d) array, lex order."""
+    return np.array(fundamental_domain(H), dtype=np.int64).reshape(-1, len(H))
 
 
 @lru_cache(maxsize=None)
@@ -190,11 +207,12 @@ def count_orbits(alphabet: int, d: int, j: int) -> OrbitCount:
     total = 0
     for H in sublattices(d, j):
         total += _exact_stabilizer_count(H, alphabet)
-    assert total % j == 0
+    if total % j:
+        raise CertificateError(f"{total} index-{j} configurations are not a multiple of {j}")
     count = total // j
     # sanity against the coarse two-sided bounds
-    assert count <= (j ** (d + 1)) * (alphabet ** j)
-    assert 2 * j * count >= alphabet ** j
+    if count > (j ** (d + 1)) * (alphabet ** j) or 2 * j * count < alphabet ** j:
+        raise CertificateError(f"orbit count {count} of size {j} outside its bounds")
     return OrbitCount(j, count)
 
 
@@ -215,59 +233,44 @@ class Orbit:
     def d(self) -> int:
         return len(self.lattice)
 
-    def symbol_at(self, p) -> int:
-        dom = fundamental_domain(self.lattice)
-        r = reduce_point(self.lattice, p)
-        return self.symbols[dom.index(r)]
 
-
-def _config_lookup(H, symbols):
-    dom = fundamental_domain(H)
-    idx = {p: i for i, p in enumerate(dom)}
-
-    def sym(p):
-        return symbols[idx[reduce_point(H, p)]]
-
-    return sym, dom
-
-
-def _stabilizer(H, symbols):
-    """Exact stabilizer lattice of the configuration (H-periodic by construction)."""
-    sym, dom = _config_lookup(H, symbols)
-    d = len(H)
-    fixers = []
-    for v in dom:
-        if all(x == 0 for x in v):
-            continue
-        if all(sym(tuple(a + b for a, b in zip(p, v))) == sym(p) for p in dom):
-            fixers.append(v)
-    gens = matrix_columns(H) + fixers
-    return hnf_from_columns(gens, d)
-
-
-def _canonical_symbols(H, symbols):
-    """Lex-least symbol tuple over all fundamental-domain translates."""
-    sym, dom = _config_lookup(H, symbols)
-    best = None
-    for v in dom:
-        cand = tuple(sym(tuple(a + b for a, b in zip(p, v))) for p in dom)
-        if best is None or cand < best:
-            best = cand
-    return best
+def _canonical_rows(H, rows):
+    """(fixed, canon) for uint8 symbol rows (R, index) on H's fundamental
+    domain: fixed[r, v] marks the domain translates v that reproduce row r
+    (v = 0 always does, so the stabilizer of row r is exactly H iff no other
+    does), and canon[r] is the lex-least translate of row r.  Rows compare as
+    bytes.  A pass holds at most ENUM_BUDGET symbol entries when
+    2 * R * index does; longer rows are walked in chunks of translates."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    count, j = rows.shape
+    dom = _domain_array(H)
+    fixed = np.empty((count, j), dtype=bool)
+    canon = rows
+    step = max(1, ENUM_BUDGET // (count * j) - 1)
+    for v0 in range(0, j, step):
+        moved = rows[:, reduce_points(H, dom[v0:v0 + step, None] + dom[None])]
+        fixed[:, v0:v0 + step] = (moved == rows[:, None, :]).all(axis=2)
+        cands = np.concatenate([canon[:, None, :], moved], axis=1).view((np.void, j))
+        least = np.sort(cands[..., 0], axis=1)[:, 0]
+        canon = np.frombuffer(least.tobytes(), dtype=np.uint8).reshape(count, j)
+    return fixed, canon
 
 
 def orbit_from_config(H, symbols, alphabet: int) -> Orbit:
     """Canonical orbit of the H-periodic configuration given by fundamental
     symbols (the true stabilizer may be coarser than H)."""
-    stab = _stabilizer(H, tuple(int(s) for s in symbols))
-    sym, _ = _config_lookup(H, tuple(int(s) for s in symbols))
-    stab_syms = tuple(sym(p) for p in fundamental_domain(stab))
-    return Orbit(stab, _canonical_symbols(stab, stab_syms), alphabet)
+    row = np.asarray(symbols, dtype=np.uint8)[None, :]
+    fixed, canon = _canonical_rows(H, row)
+    fixers = [v for v, f in zip(fundamental_domain(H), fixed[0]) if f][1:]
+    stab = hnf_from_columns(matrix_columns(H) + fixers, len(H))
+    if stab != H:
+        _, canon = _canonical_rows(stab, row[:, reduce_points(H, _domain_array(stab))])
+    return Orbit(stab, tuple(canon[0].tolist()), alphabet)
 
 
 def enumerate_orbits(alphabet: int, d: int, max_size: int):
     """One canonical representative per orbit of size <= max_size, sorted by
-    (size, lattice, symbols); per-size counts match count_orbits."""
+    (size, lattice, symbols) by construction; per-size counts match count_orbits."""
     work = 0
     for j in range(1, max_size + 1):
         work += len(sublattices(d, j)) * alphabet ** j
@@ -275,35 +278,32 @@ def enumerate_orbits(alphabet: int, d: int, max_size: int):
             raise ResourceBudgetError(f"orbit enumeration up to {max_size} over budget")
     out = []
     for j in range(1, max_size + 1):
-        seen = set()
+        digits = alphabet ** np.arange(j - 1, -1, -1, dtype=np.int64)
+        step = max(1, ENUM_BUDGET // (j * (j + 1)))
+        start = len(out)
         for H in sublattices(d, j):
-            dom = fundamental_domain(H)
-            for word in product(range(alphabet), repeat=j):
-                if _stabilizer(H, word) != H:
-                    continue
-                canon = _canonical_symbols(H, word)
-                key = (H, canon)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Orbit(H, canon, alphabet))
+            reps = []
+            for lo in range(0, alphabet ** j, step):
+                ids = np.arange(lo, min(lo + step, alphabet ** j), dtype=np.int64)
+                words = (ids[:, None] // digits % alphabet).astype(np.uint8)
+                fixed, canon = _canonical_rows(H, words)
+                reps.append(canon[~fixed[:, 1:].any(axis=1)])
+            reps = np.unique(np.concatenate(reps), axis=0)
+            out.extend(Orbit(H, tuple(r), alphabet) for r in reps.tolist())
         expected = count_orbits(alphabet, d, j).count
-        got = sum(1 for o in out if o.size == j)
-        assert got == expected, f"size-{j} enumeration {got} != count {expected}"
-    out.sort(key=lambda o: (o.size, o.lattice, o.symbols))
+        got = len(out) - start
+        if got != expected:
+            raise CertificateError(f"size-{j} enumeration {got} != count {expected}")
     return out
 
 
 def orbit_windows(orbit: Orbit, n: int) -> frozenset:
-    """Side-n window codes of the periodic configuration."""
+    """Side-n window codes of the periodic configuration: the codes of its
+    box H[i][i] + n - 1 per axis, whose window anchors are the domain."""
     H = orbit.lattice
-    sym, dom = _config_lookup(H, orbit.symbols)
-    d = len(H)
-    rels = list(product(range(n), repeat=d))
-    codes = set()
-    for v in dom:
-        syms = [sym(tuple(a + b for a, b in zip(v, r))) for r in rels]
-        codes.add(pt.encode_window(syms, orbit.alphabet))
-    return frozenset(codes)
+    box = np.indices(tuple(h + n - 1 for h in _diagonal(H)))
+    arr = np.asarray(orbit.symbols, dtype=np.uint8)[reduce_points(H, np.moveaxis(box, 0, -1))]
+    return frozenset(pt.cube_window_codes(arr, n, orbit.alphabet).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +313,9 @@ def orbit_window_table(alphabet: int, d: int, n: int, max_size: int):
     orbs = enumerate_orbits(alphabet, d, max_size)
     w = pt.window_table_size(alphabet, d, n)
     masks = np.zeros((len(orbs), w), dtype=np.uint8)
-    sizes = np.zeros(len(orbs), dtype=np.int64)
     for i, o in enumerate(orbs):
-        for c in orbit_windows(o, n):
-            masks[i, c] = 1
-        sizes[i] = o.size
+        masks[i, list(orbit_windows(o, n))] = 1
+    sizes = np.array([o.size for o in orbs], dtype=np.int64)
     masks.setflags(write=False)
     sizes.setflags(write=False)
     return tuple(orbs), masks, sizes
@@ -359,7 +357,8 @@ def word_periodicity(w, n: int):
     p = least_period(mid)
     j = len({tuple(w[i : i + n]) for i in range(k - n + 1)})
     if j <= n:
-        assert p <= j, f"middle period {p} exceeds window count {j}"
+        if p > j:
+            raise CertificateError(f"middle period {p} exceeds window count {j}")
         return p
     return p if p < len(mid) else None
 
@@ -389,15 +388,15 @@ def extract_orbit(u: pt.Pattern, n: int):
         slabs = [moved[m].tobytes() for m in range(k)]
         mid = slabs[n : k - n + 1]
         periods.append(least_period(mid))
-    assert all(2 * r <= n for r in periods)
+    if any(2 * r > n for r in periods):
+        raise CertificateError(f"slice periods {periods} exceed n/2 = {n / 2}")
     H = tuple(
         tuple(periods[i] if i == j else 0 for j in range(d)) for i in range(d)
     )
-    base = (n,) * d
-    dom = fundamental_domain(H)
-    syms = [int(arr[tuple(b + w for b, w in zip(base, v))]) for v in dom]
+    syms = arr[tuple((n + _domain_array(H)).T)]
     orbit = orbit_from_config(H, syms, u.alphabet)
-    ow = orbit_windows(orbit, n)
-    assert ow <= wins, "extracted orbit shows a window absent from the pattern"
-    assert 2 * orbit.size <= n
+    if not orbit_windows(orbit, n) <= wins:
+        raise CertificateError("extracted orbit shows a window absent from the pattern")
+    if 2 * orbit.size > n:
+        raise CertificateError(f"extracted orbit of size {orbit.size} exceeds n/2")
     return orbit

@@ -174,8 +174,8 @@ def _codes_fit_int64(alphabet: int, cells: int) -> bool:
 
 
 def cube_window_codes(arr: np.ndarray, n: int, alphabet: int):
-    """Codes of every side-n window of a cube pattern, anchor-ordered (C order).
-    Falls back to Python integers when codes overflow 64 bits."""
+    """Codes of every side-n window of a box pattern, anchor-ordered (C order).
+    Past 62 bits the codes are Python integers in an object array."""
     d = arr.ndim
     if any(s < n for s in arr.shape):
         raise DomainError("no side-n cube fits in the pattern")
@@ -183,7 +183,7 @@ def cube_window_codes(arr: np.ndarray, n: int, alphabet: int):
     flat = view.reshape(-1, n ** d)
     if _codes_fit_int64(alphabet, n ** d):
         return flat.astype(np.int64) @ _lex_weights(alphabet, n ** d)
-    return [encode_window(row, alphabet) for row in flat]
+    return np.array([encode_window(row, alphabet) for row in flat], dtype=object)
 
 
 def windows(u: Pattern, n: int) -> frozenset:
@@ -191,8 +191,7 @@ def windows(u: Pattern, n: int) -> frozenset:
     if u.is_cube():
         if u.shape.side < n:
             raise DomainError("no side-n cube fits in the pattern")
-        codes = cube_window_codes(u.as_array(), n, u.alphabet)
-        return frozenset(codes.tolist() if isinstance(codes, np.ndarray) else codes)
+        return frozenset(cube_window_codes(u.as_array(), n, u.alphabet).tolist())
     cubes = cubes_in(u.shape, n)
     if not cubes:
         raise DomainError("no side-n cube fits in the pattern")
@@ -206,9 +205,7 @@ def window_positions(u: Pattern, n: int):
     """(anchor, code) for every side-n cube in u, in lex anchor order."""
     if u.is_cube():
         k = u.shape.side
-        codes = cube_window_codes(u.as_array(), n, u.alphabet)
-        if isinstance(codes, np.ndarray):
-            codes = codes.tolist()
+        codes = cube_window_codes(u.as_array(), n, u.alphabet).tolist()
         anchors = list(product(range(k - n + 1), repeat=u.d))
         return list(zip(anchors, codes))
     out = []

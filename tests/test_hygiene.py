@@ -1,6 +1,8 @@
 """Source hygiene: no module defines the same top-level name twice (a later
-definition silently shadows the earlier one), and no module other than the
-package's __init__ imports a name it never uses."""
+definition silently shadows the earlier one), no module other than the
+package's __init__ imports a name it never uses, every private top-level
+function has a caller in the package, and the modules whose checks must
+survive `python -O` contain no assert."""
 
 import ast
 from collections import Counter
@@ -45,3 +47,40 @@ def test_no_unused_top_level_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _private_functions(tree):
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node.name
+
+
+def test_every_private_function_is_referenced():
+    """A reference from inside the function's own body does not count."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    refs = set()  # (module, top-level node it sits in, referenced name)
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                ref = (node.id if isinstance(node, ast.Name)
+                       else node.attr if isinstance(node, ast.Attribute) else None)
+                if ref is not None:
+                    refs.add((name, getattr(top, "name", None), ref))
+    dead = sorted(f"{name}.{fn}" for name, tree in trees.items()
+                  for fn in _private_functions(tree)
+                  if not any(r == fn and (m, owner) != (name, fn) for m, owner, r in refs))
+    assert not dead, f"private functions without a reference: {dead}"
+
+
+# modules whose every check raises an exception rather than asserting
+ASSERT_FREE = ["orbits.py"]
+
+
+@pytest.mark.parametrize("name", ASSERT_FREE)
+def test_no_assert_in_checked_modules(name):
+    path = SRC / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{name} asserts at lines {lines}; raise an SftlabError instead"

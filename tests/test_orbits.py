@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,18 @@ def test_enumerate_matches_counts_and_examples():
         assert got == O.count_orbits(2, 1, j).count
 
 
+def test_enumeration_checks_against_count_orbits(monkeypatch):
+    # a local import, so this module, golden digests included, also loads on
+    # older trees that have no CertificateError
+    from sftlab.errors import CertificateError
+    real = O.count_orbits
+    monkeypatch.setattr(O, "count_orbits",
+                        lambda a, d, j: O.OrbitCount(j, real(a, d, j).count + (j == 3)))
+    assert len(O.enumerate_orbits(2, 1, 2)) == 3
+    with pytest.raises(CertificateError):
+        O.enumerate_orbits(2, 1, 3)
+
+
 def test_orbit_windows_counts():
     for o in O.enumerate_orbits(2, 1, 6):
         for n in (4, 6, 8, 12):
@@ -142,6 +156,17 @@ def test_orbit_from_config_canonicalizes():
     H = ((2, 0), (0, 2))
     orb2 = O.orbit_from_config(H, (1, 1, 1, 1), 2)
     assert orb2.size == 1
+
+
+def test_orbit_from_config_long_words_span_several_passes():
+    # words this long are canonicalised over several chunks of translates
+    rng = np.random.default_rng(7)
+    for period, repeats in ((4100, 1), (1500, 3)):
+        base = bytes(rng.integers(0, 2, period).tolist())
+        orb = O.orbit_from_config(((period * repeats,),), list(base * repeats), 2)
+        assert orb.lattice == ((period,),)
+        twice = base * 2
+        assert bytes(orb.symbols) == min(twice[i:i + period] for i in range(period))
 
 
 def test_extract_orbit_constant_and_periodic():
@@ -272,3 +297,75 @@ def test_orbit_window_table_matches_direct_checks():
     assert list(sizes) == [o.size for o in orbs]
     for i, o in enumerate(orbs):
         assert set(np.nonzero(masks[i])[0].tolist()) == set(orbit_windows(o, 6))
+
+
+# ---------------------------------------------------------------------------
+# golden digests: every orbit list, window mask and canonical orbit below was
+# recorded with the per-word Python implementation that preceded the array
+# canonical form, and must never change
+
+def _golden_enumerations():
+    for args in ((2, 1, 12), (3, 1, 8), (2, 2, 6), (2, 3, 4)):
+        for o in O.enumerate_orbits(*args):
+            yield repr((args, o.lattice, o.symbols, o.alphabet)).encode()
+
+
+def _golden_tables():
+    for args in ((2, 1, 8, 12), (2, 2, 3, 4)):
+        orbs, masks, sizes = O.orbit_window_table(*args)
+        yield repr((args, [(o.lattice, o.symbols) for o in orbs], masks.shape,
+                    sizes.tolist())).encode()
+        yield masks.tobytes()
+
+
+def _golden_configs():
+    """200 seeded configs per d, on lattices drawn from all those up to index
+    8, 6 and 4; half repeat a drawn superlattice, so their stabilizer is
+    often coarser than H."""
+    rng = np.random.default_rng(2026)
+    for d, top in ((1, 8), (2, 6), (3, 4)):
+        lattices = [H for j in range(1, top + 1) for H in O.sublattices(d, j)]
+        for _ in range(200):
+            H = lattices[int(rng.integers(len(lattices)))]
+            alphabet = int(rng.integers(2, 4))
+            dom = O.fundamental_domain(H)
+            if rng.random() < 0.5:
+                cols = O.matrix_columns(H)
+                supers = [L for L in lattices
+                          if all(O.lattice_contains(L, c) for c in cols)]
+                L = supers[int(rng.integers(len(supers)))]
+                ldom = O.fundamental_domain(L)
+                base = rng.integers(0, alphabet, len(ldom)).tolist()
+                syms = tuple(base[ldom.index(O.reduce_point(L, p))] for p in dom)
+            else:
+                syms = tuple(rng.integers(0, alphabet, len(dom)).tolist())
+            yield H, syms, alphabet
+
+
+def _golden_from_config():
+    for H, syms, alphabet in _golden_configs():
+        o = O.orbit_from_config(H, syms, alphabet)
+        yield repr((H, syms, alphabet, o.lattice, o.symbols, o.alphabet)).encode()
+
+
+GOLDEN = {
+    "enumerate_orbits": (
+        _golden_enumerations,
+        "8b1dc44992fbf6c3b6c6ed5cb2f7fd49c032b2fa091753078994a44161961809"),
+    "orbit_window_table": (
+        _golden_tables,
+        "eeac17de36a274271ae7eae32c171f427e45dca3335e066b218e2465400ecb28"),
+    "orbit_from_config": (
+        _golden_from_config,
+        "f596bd71b78c21e66b34bde3d208f9fbff73008d807aad02ce6ee526a1c18b1f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_orbits_match_golden(name):
+    items, digest = GOLDEN[name]
+    h = hashlib.sha256()
+    for blob in items():
+        h.update(blob)
+        h.update(b"\n")
+    assert h.hexdigest() == digest

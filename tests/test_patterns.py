@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -60,17 +62,24 @@ def test_windows_examples():
         P.windows(abab, 5)
 
 
-def test_windows_match_slicing_oracle():
+def _slicing_oracle_cases():
     rng = np.random.default_rng(0)
     for _ in range(25):
-        arr = (rng.random((7, 7)) < 0.5).astype(np.uint8)
-        u = P.Pattern.from_array(arr, 2)
-        expect = set()
-        for i in range(6):
-            for j in range(6):
-                w = arr[i : i + 2, j : j + 2].reshape(-1)
-                expect.add(P.encode_window(w, 2))
-        assert P.windows(u, 2) == expect
+        yield (rng.random((7, 7)) < 0.5).astype(np.uint8), 2, 2
+    # codes past 62 bits, in d = 1..3; the tiled ones repeat their windows
+    yield rng.integers(0, 2, 90).astype(np.uint8), 70, 2
+    yield np.tile(rng.integers(0, 2, (3, 4)), (4, 3)).astype(np.uint8), 9, 2
+    yield rng.integers(0, 3, (6, 6, 6)).astype(np.uint8), 4, 3
+
+
+def test_windows_match_slicing_oracle():
+    for arr, n, a in _slicing_oracle_cases():
+        u = P.Pattern.from_array(arr, a)
+        anchors = product(range(arr.shape[0] - n + 1), repeat=arr.ndim)
+        expect = [P.encode_window(arr[tuple(slice(i, i + n) for i in anchor)].reshape(-1), a)
+                  for anchor in anchors]
+        assert [c for _, c in P.window_positions(u, n)] == expect
+        assert P.windows(u, n) == set(expect)
 
 
 def test_windows_of_tiled_pattern_contain_tile():
