@@ -27,6 +27,9 @@ the ell-periodic point count is the trace on the ell^d torus, exact by the
 same guard with free cells ell^d.  Budgets: the block table and each pass hold
 at most 2^FRONTIER_BUDGET_BITS entries, or 2^COUNT_STATE_BUDGET_BITS with
 exact ints, and a walk from every state takes at most 2^(22 - 18) = 16 passes.
+A shape with at most TORUS_DIRECT_BUDGET configs is searched directly instead,
+by one gather over the cached `_torus_table` of every config's window codes,
+the cache that also holds the slab transfer's block tables.
 """
 
 import math
@@ -36,7 +39,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, ResourceBudgetError
+from . import patterns as pt
+from .errors import CertificateError, DomainError, ResourceBudgetError
 from .ensemble import AllowedSet, orbit_allowed, stream_words, TAG_BOUNDARY
 from .orbits import Orbit, orbit_from_config, orbit_window_table
 
@@ -168,7 +172,8 @@ def _longest_path_edges(allowed: np.ndarray, alphabet: int) -> int:
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     stack.append(t)
-    assert seen == len(verts), "graph has a cycle; not a DAG"
+    if seen != len(verts):
+        raise CertificateError("pruned-empty window graph has a cycle")
     return max(dist.values())
 
 
@@ -180,7 +185,8 @@ def decide_empty_1d(omega: AllowedSet) -> EmptinessVerdict:
     if alive.any():
         word = shortest_allowed_cycle(alive, omega.n, omega.alphabet)
         orbit = orbit_from_config(((len(word),),), word, omega.alphabet)
-        assert orbit_allowed(omega, orbit)
+        if not orbit_allowed(omega, orbit):
+            raise CertificateError(f"cycle {word} shows a forbidden window")
         return EmptinessVerdict("nonempty", certificate_orbit=orbit,
                                 effort={"cycle_length": len(word)})
     edges = _longest_path_edges(omega.bits, omega.alphabet)
@@ -203,17 +209,12 @@ def _frontier_tables(d: int, n: int, alphabet: int, k: int):
         raise ResourceBudgetError(
             f"frontier state space {alphabet}^{m} over budget for d={d}, n={n}, k={k}"
         )
-    size = alphabet ** m
-    ids = np.arange(size, dtype=np.int64)
-    codes = np.zeros(size, dtype=np.int64)
-    total = n ** d
-    for rank, rel in enumerate(product(range(n), repeat=d)):
-        # newest cell holds rel = (n-1, ..., n-1); offset back in row-major order
-        delta = 0
-        for i in range(d):
-            delta = delta * k + (n - 1 - rel[i])
-        digit = (ids // (alphabet ** (m - 1 - delta))) % alphabet
-        codes += digit * (alphabet ** (total - 1 - rank))
+    # the newest cell closes the window anchored m-1 cells back in row-major
+    # order, so the window cell at offset f from the anchor is state digit
+    # m-1-f, counted from the newest (most significant) one
+    deltas = m - 1 - pt.window_cells((k,) * d, n)[:1]
+    codes = pt.id_window_codes(np.arange(alphabet ** m, dtype=np.int64), m, deltas,
+                               alphabet)[:, 0]
     codes.setflags(write=False)
     return m, codes
 
@@ -285,61 +286,29 @@ def count_patterns(omega: AllowedSet, k: int):
 # ---------------------------------------------------------------------------
 # Torus search and exact periodic counts: the cyclic slab transfer
 
-def _torus_window_codes(shape, n: int, alphabet: int):
-    """For each anchor in the fundamental box, the flat fundamental indices of
-    the window's cells (reads wrap around the shape)."""
-    d = len(shape)
-    anchors = list(product(*(range(s) for s in shape)))
-    rels = list(product(range(n), repeat=d))
-    idx = []
-    for a in anchors:
-        row = []
-        for rel in rels:
-            p = tuple((ai + ri) % si for ai, ri, si in zip(a, rel, shape))
-            flat = 0
-            for i in range(d):
-                flat = flat * shape[i] + p[i]
-            row.append(flat)
-        idx.append(row)
-    return np.asarray(idx, dtype=np.int64)
+@lru_cache(maxsize=None)
+def _torus_table(shape, n: int, alphabet: int, anchors: int) -> np.ndarray:
+    """Window codes of every config on the wraparound shape, shaped (configs,
+    anchors): config c is the id of its flat symbols (first cell most
+    significant) and column a the window at the a-th anchor in C order.  The
+    slab transfer reads the anchors of the oldest slab of (n, *cross); the
+    direct search reads all of them.  Cached; read-only."""
+    vol = math.prod(shape)
+    reads = pt.window_cells(shape, n)[:anchors]
+    out = pt.id_window_codes(np.arange(alphabet ** vol, dtype=np.int64), vol, reads, alphabet)
+    out.setflags(write=False)
+    return out
 
 
 def _torus_direct(omega: AllowedSet, shape):
-    """Lex-least allowed config on the wraparound shape, by direct enumeration."""
-    A = omega.alphabet
-    vol = math.prod(shape)
-    total = A ** vol
-    reads = _torus_window_codes(shape, omega.n, A)
-    weights = (A ** np.arange(omega.n ** omega.d - 1, -1, -1, dtype=np.int64))
-    digs = np.empty((total, vol), dtype=np.int64)
-    rem = np.arange(total, dtype=np.int64)
-    for c in range(vol - 1, -1, -1):
-        digs[:, c] = rem % A
-        rem //= A
-    codes = digs[:, reads.reshape(-1)].reshape(total, reads.shape[0], reads.shape[1])
-    codes = codes @ weights
-    ok = omega.bits[codes].all(axis=1)
-    hits = np.nonzero(ok)[0]
-    if len(hits) == 0:
+    """Lex-least allowed config on the wraparound shape, by one gather over
+    the cached table of every config."""
+    A, vol = omega.alphabet, math.prod(shape)
+    ok = omega.bits[_torus_table(tuple(shape), omega.n, A, vol)].all(axis=1)
+    if not ok.any():
         return None
-    return tuple(int(x) for x in digs[hits[0]])
-
-
-@lru_cache(maxsize=None)
-def _slab_table(cross, n: int, alphabet: int):
-    """Window codes of every block of n slabs, a slab being one copy of the
-    cyclic cross-section (a single cell for d = 1) and the oldest slab the
-    most significant: entry [block, c] is the window anchored at cell c of the
-    block's oldest slab."""
-    cells = n * math.prod(cross)
-    ids = np.arange(alphabet ** cells, dtype=np.int64)
-    reads = _torus_window_codes((n, *cross), n, alphabet)[: math.prod(cross)]
-    out = np.zeros((len(ids), len(reads)), dtype=np.int64)
-    for c, row in enumerate(reads):
-        for flat in row:
-            out[:, c] = out[:, c] * alphabet + ids // alphabet ** (cells - 1 - flat) % alphabet
-    out.setflags(write=False)
-    return out
+    first = int(np.argmax(ok))
+    return tuple(first // A ** (vol - 1 - c) % A for c in range(vol))
 
 
 def _walk_budget(dtype) -> int:
@@ -359,7 +328,8 @@ def _slab_gate(omega: AllowedSet, cross, dtype) -> np.ndarray:
     budget = _walk_budget(dtype)
     if S * X > budget or S * S > budget << (FRONTIER_BUDGET_BITS - COUNT_STATE_BUDGET_BITS):
         raise ResourceBudgetError(f"slab transfer over budget: {S} states, {S * X} blocks")
-    ok = omega.bits[_slab_table(tuple(cross), omega.n, omega.alphabet)].all(axis=1)
+    table = _torus_table((omega.n, *cross), omega.n, omega.alphabet, math.prod(cross))
+    ok = omega.bits[table].all(axis=1)
     return ok.reshape(S, X)
 
 
@@ -467,7 +437,8 @@ def decide_empty(omega: AllowedSet, k_max: int, torus_max: int) -> EmptinessVerd
                 H = tuple(tuple(shape[i] if i == j else 0 for j in range(d))
                           for i in range(d))
                 orbit = orbit_from_config(H, cfg, A)
-                assert orbit_allowed(omega, orbit)
+                if not orbit_allowed(omega, orbit):
+                    raise CertificateError(f"torus config on {shape} shows a forbidden window")
                 return EmptinessVerdict(
                     "nonempty", certificate_orbit=orbit,
                     effort={"k_checked": checked_k, "tori_tried": tori_tried,
@@ -591,8 +562,8 @@ def entropy_estimate(omega: AllowedSet, k: int,
     h_upper = math.log(phi) / vol if phi > 0 else -math.inf
     pc = count_periodic_fillins(omega, k, boundary_samples)
     h_per = math.log(pc.count) / vol if pc.count > 0 else -math.inf
-    if pc.exact:
-        assert pc.count <= phi
+    if pc.exact and pc.count > phi:
+        raise CertificateError(f"periodic count {pc.count} exceeds pattern count {phi}")
     return EntropyEstimate(k, phi, h_upper, pc.count, pc.stderr, pc.exact,
                            h_per, pc.boundary_pool)
 

@@ -136,54 +136,52 @@ def _chunks_per_alpha(fn, cfg: ExperimentConfig, *extra):
 # chunk workers (top level for pickling)
 
 def _verdicts_for(params: EnsembleParams, lo: int, hi: int, k_max: int,
-                  torus_max: int) -> np.ndarray:
+                  torus_max: int, bits=None, certify=False):
+    """Verdict codes of trials lo..hi, sampled here unless their rows are
+    given in bits, and per trial whether a nonempty verdict carries a finite
+    orbit.  d = 1 verdicts come from pruning, and the orbit, a shortest cycle
+    of the pruned graph, is extracted only for the rows marked in certify (a
+    bool or a row mask); d >= 2 verdicts come from decide_empty with its
+    torus orbit."""
     trials = range(lo, hi)
+    certified = np.ones(hi - lo, dtype=bool)
     if params.d == 1:
-        bits = sample_bits_batch(params, trials)
+        if bits is None:
+            bits = sample_bits_batch(params, trials)
         alive = analysis.prune_rows(bits, params.n, params.alphabet)
-        return np.where(alive.any(axis=1), VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8)
+        nonempty = alive.any(axis=1)
+        for i in np.nonzero(nonempty & certify)[0]:
+            word = analysis.shortest_allowed_cycle(alive[i], params.n, params.alphabet)
+            certified[i] = word is not None
+        return np.where(nonempty, VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8), certified
+    codes = {"empty": VERDICT_EMPTY, "nonempty": VERDICT_NONEMPTY, "unknown": VERDICT_UNKNOWN}
     out = np.empty(hi - lo, dtype=np.uint8)
     for i, t in enumerate(trials):
-        v = analysis.decide_empty(sample(params, t), k_max, torus_max)
-        out[i] = {"empty": VERDICT_EMPTY, "nonempty": VERDICT_NONEMPTY,
-                  "unknown": VERDICT_UNKNOWN}[v.verdict]
-    return out
+        omega = (sample(params, t) if bits is None else
+                 analysis.AllowedSet(params.d, params.n, params.alphabet, bits[i],
+                                     params.seed, t))
+        v = analysis.decide_empty(omega, k_max, torus_max)
+        out[i] = codes[v.verdict]
+        certified[i] = v.verdict != "nonempty" or v.certificate_orbit is not None
+    return out, certified
 
 
 def _emptiness_chunk(args):
     (alphabet, d, n, alpha, seed, lo, hi, k_max, torus_max) = args
     params = EnsembleParams(alphabet, d, n, alpha, seed)
-    return _verdicts_for(params, lo, hi, k_max, torus_max)
+    return _verdicts_for(params, lo, hi, k_max, torus_max)[0]
 
 
 def _orbit_chunk(args):
     (alphabet, d, n, alpha, seed, lo, hi, k_max, torus_max, orbit_max) = args
     params = EnsembleParams(alphabet, d, n, alpha, seed)
-    trials = range(lo, hi)
     _, masks, _ = orbit_window_table(alphabet, d, n, orbit_max)
     win_counts = masks.sum(axis=1).astype(np.float32)
-    bits = sample_bits_batch(params, trials)
+    bits = sample_bits_batch(params, range(lo, hi))
     hits = bits.astype(np.float32) @ masks.T.astype(np.float32)
     any_small = (hits == win_counts[None, :]).any(axis=1)
-    if d == 1:
-        alive = analysis.prune_rows(bits, n, alphabet)
-        verdicts = np.where(alive.any(axis=1), VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8)
-        has_cert = np.zeros(hi - lo, dtype=bool)
-        for i in np.nonzero((verdicts == VERDICT_NONEMPTY) & ~any_small)[0]:
-            word = analysis.shortest_allowed_cycle(alive[i], n, alphabet)
-            has_cert[i] = word is not None
-        has_cert |= any_small  # small-orbit trials trivially certified
-        has_cert |= verdicts != VERDICT_NONEMPTY
-    else:
-        verdicts = np.empty(hi - lo, dtype=np.uint8)
-        has_cert = np.ones(hi - lo, dtype=bool)
-        for i, t in enumerate(trials):
-            omega = analysis.AllowedSet(d, n, alphabet, bits[i], seed, t)
-            v = analysis.decide_empty(omega, k_max, torus_max)
-            verdicts[i] = {"empty": VERDICT_EMPTY, "nonempty": VERDICT_NONEMPTY,
-                           "unknown": VERDICT_UNKNOWN}[v.verdict]
-            if v.verdict == "nonempty":
-                has_cert[i] = v.certificate_orbit is not None
+    # small-orbit trials are certified by the orbit found here
+    verdicts, has_cert = _verdicts_for(params, lo, hi, k_max, torus_max, bits, ~any_small)
     nonempty_no_small = (verdicts == VERDICT_NONEMPTY) & ~any_small
     gn_candidate = nonempty_no_small & ~has_cert
     return verdicts, any_small, nonempty_no_small, gn_candidate

@@ -258,9 +258,11 @@ def _canonical_rows(H, rows):
 
 def orbit_from_config(H, symbols, alphabet: int) -> Orbit:
     """Canonical orbit of the H-periodic configuration given by fundamental
-    symbols (the true stabilizer may be coarser than H)."""
+    symbols, H in HNF (the true stabilizer may be coarser than H)."""
     row = np.asarray(symbols, dtype=np.uint8)[None, :]
     fixed, canon = _canonical_rows(H, row)
+    if not fixed[0, 1:].any():  # only the zero translate fixes it: H is the stabilizer
+        return Orbit(H, tuple(canon[0].tolist()), alphabet)
     fixers = [v for v, f in zip(fundamental_domain(H), fixed[0]) if f][1:]
     stab = hnf_from_columns(matrix_columns(H) + fixers, len(H))
     if stab != H:

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, ResourceBudgetError
+from .errors import CertificateError, DomainError, ResourceBudgetError
 from .geometry import Cube, PointSet, check_dim, cubes_in, full_cube
 
 MAX_WINDOW_TABLE_BITS = 28  # refuse |A|^(n^d) > 2^28 window tables
@@ -214,6 +214,28 @@ def window_positions(u: Pattern, n: int):
     return out
 
 
+def window_cells(shape, n: int) -> np.ndarray:
+    """Flat cell indices of every side-n window on the periodic box `shape`,
+    shaped (anchors, n^d): row a is the window anchored at the a-th cell in C
+    order, its cells in lex point order, reads wrapping around every axis."""
+    cells = np.arange(math.prod(shape), dtype=np.int64).reshape(shape)
+    wrapped = np.pad(cells, [(0, n - 1)] * len(shape), mode="wrap")
+    view = np.lib.stride_tricks.sliding_window_view(wrapped, (n,) * len(shape))
+    return view.reshape(-1, n ** len(shape))
+
+
+def id_window_codes(ids, cells: int, reads, alphabet: int) -> np.ndarray:
+    """Window codes of configurations given by id, shaped (ids, windows): an id
+    is the base-|A| number of its `cells` symbols, cell 0 most significant, and
+    row w of reads lists the cells of window w in lex point order.  Built one
+    window column at a time."""
+    out = np.zeros((len(ids), len(reads)), dtype=np.int64)
+    for w, row in enumerate(reads):
+        for cell in row:
+            out[:, w] = out[:, w] * alphabet + ids // alphabet ** (cells - 1 - int(cell)) % alphabet
+    return out
+
+
 def complexity_histogram(alphabet: int, d: int, n: int, k: int) -> dict:
     """Exhaustive: bucket all side-k patterns by their number of distinct
     side-n windows.  Masses sum to |A|^(k^d)."""
@@ -223,34 +245,18 @@ def complexity_histogram(alphabet: int, d: int, n: int, k: int) -> dict:
     if total > HISTOGRAM_BUDGET:
         raise ResourceBudgetError(f"{alphabet}^{k**d} patterns exceed budget 2^24")
     window_table_size(alphabet, d, n)
-    cells = k ** d
-    weights = _lex_weights(alphabet, n ** d)
-    # window anchor -> flat cell offsets, shared by every pattern
-    offs = []
-    for anchor in product(range(k - n + 1), repeat=d):
-        cell_ids = []
-        for rel in product(range(n), repeat=d):
-            p = tuple(a + r for a, r in zip(anchor, rel))
-            cell_ids.append(int(np.ravel_multi_index(p, (k,) * d)))
-        offs.append(cell_ids)
-    offs = np.asarray(offs, dtype=np.int64)  # (n_windows, n^d)
+    # the anchors whose windows do not wrap around the side-k box
+    inside = (slice(0, k - n + 1),) * d
+    reads = window_cells((k,) * d, n).reshape((k,) * d + (-1,))[inside].reshape(-1, n ** d)
     hist: dict = {}
-    chunk = max(1, min(total, 1 << 18))
-    digits_pow = (alphabet ** np.arange(cells - 1, -1, -1, dtype=object)).astype(object)
+    chunk = 1 << 18
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        # base-A digits of each pattern id, most significant cell first
-        digs = np.empty((len(ids), cells), dtype=np.int64)
-        rem = ids.copy()
-        for c in range(cells - 1, -1, -1):
-            digs[:, c] = rem % alphabet
-            rem //= alphabet
-        codes = digs[:, offs.reshape(-1)].reshape(len(ids), offs.shape[0], offs.shape[1])
-        codes = codes @ weights  # (chunk, n_windows)
-        for row in codes:
+        for row in id_window_codes(ids, k ** d, reads, alphabet):
             j = len(set(row.tolist()))
             hist[j] = hist.get(j, 0) + 1
-    assert sum(hist.values()) == total
+    if sum(hist.values()) != total:
+        raise CertificateError(f"histogram masses sum to {sum(hist.values())}, not {total}")
     return hist
 
 

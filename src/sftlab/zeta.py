@@ -61,6 +61,12 @@ def _far_tail(d: int, beta: float, start: int) -> float:
             raise ResourceBudgetError("far tail fails to converge numerically")
 
 
+def _log_product(alphabet: int, d: int, alpha: float, j_max: int) -> float:
+    """log prod_{j<=j_max} (1 - alpha^j)^{P_j}, P_j the number of size-j orbits."""
+    return math.fsum(count_orbits(alphabet, d, j).count * math.log1p(-(alpha ** j))
+                     for j in range(1, j_max + 1))
+
+
 def zeta_inverse(alphabet: int, d: int, alpha: float, j_max: int) -> ZetaTruncation:
     """Truncated inverse zeta product with a certified bound on the log of the
     neglected factor; divergence sentinel (value 0) at and above 1/|A|."""
@@ -71,11 +77,7 @@ def zeta_inverse(alphabet: int, d: int, alpha: float, j_max: int) -> ZetaTruncat
     if alpha * alphabet >= 1.0:
         return ZetaTruncation(alphabet, d, alpha, j_max, 0.0, -math.inf,
                               0.0, 0.0, True)
-    terms = []
-    for j in range(1, j_max + 1):
-        pj = count_orbits(alphabet, d, j).count
-        terms.append(pj * math.log1p(-(alpha ** j)))
-    log_value = math.fsum(terms)
+    log_value = _log_product(alphabet, d, alpha, j_max)
     # certified |log of neglected factor|
     x_max = alpha ** (j_max + 1)
     c1 = 1.0 / (1.0 - x_max) if x_max < 1.0 else math.inf
@@ -99,8 +101,4 @@ def independence_upper_bound(alphabet: int, d: int, alpha: float, n: int) -> flo
         raise ResourceBudgetError(f"n/2 = {j_max} beyond orbit-count budget for d={d}")
     if alpha >= 1.0 and j_max >= 1:
         return 0.0  # every factor (1 - alpha^j) vanishes
-    terms = []
-    for j in range(1, j_max + 1):
-        pj = count_orbits(alphabet, d, j).count
-        terms.append(pj * math.log1p(-(alpha ** j)))
-    return math.exp(math.fsum(terms))
+    return math.exp(_log_product(alphabet, d, alpha, j_max))

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from sftlab import analysis as A
 from sftlab import patterns as P
 from sftlab.ensemble import AllowedSet, EnsembleParams, orbit_allowed, sample
-from sftlab.errors import DomainError
+from sftlab.errors import CertificateError, DomainError
 
 
 def golden_mean():
@@ -274,6 +279,37 @@ def test_decide_empty_d2_examples():
     assert v.is_nonempty and v.certificate_orbit.size == 2
 
 
+def test_forged_certificate_raises(monkeypatch):
+    # a nonempty verdict whose orbit fails the window check is refused
+    monkeypatch.setattr(A, "orbit_allowed", lambda omega, orbit: False)
+    with pytest.raises(CertificateError):
+        A.decide_empty(AllowedSet(2, 2, 2, np.ones(16, bool)), 4, 2)
+    with pytest.raises(CertificateError):
+        A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool)))
+
+
+def test_forged_certificate_raises_under_python_O():
+    script = "\n".join([
+        "import numpy as np",
+        "from sftlab import analysis as A",
+        "from sftlab.ensemble import AllowedSet",
+        "from sftlab.errors import CertificateError",
+        "A.orbit_allowed = lambda omega, orbit: False",
+        "print(__debug__)",
+        "for call in (lambda: A.decide_empty(AllowedSet(2, 2, 2, np.ones(16, bool)), 4, 2),",
+        "             lambda: A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool)))):",
+        "    try:",
+        "        call()",
+        "    except CertificateError:",
+        "        print('raised')",
+    ])
+    src = str(Path(A.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "raised", "raised"]
+
+
 def test_decide_empty_d2_verdicts_sound():
     params = EnsembleParams(2, 2, 2, 0.12, 99)
     unknown = 0
@@ -304,9 +340,7 @@ def test_torus_transfer_matches_direct():
         bits = rng.random(16) < rng.random()
         omega = AllowedSet(2, 2, 2, bits)
         for shape in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            d = A._torus_direct(omega, shape)
-            t = A._torus_transfer(omega, shape)
-            assert (d is None) == (t is None)
+            assert A._torus_direct(omega, shape) == A._torus_transfer(omega, shape)
 
 
 def test_decide_empty_budget_clips_to_unknown():
@@ -333,14 +367,11 @@ def test_entropy_upper_bound_decreases_to_golden_mean_rate():
     assert all(h >= target for h in hs)
 
 
-def torus_brute_search(bits, shape, n):
-    reads = A._torus_window_codes(shape, n, 2)
-    vol = shape[0] * shape[1]
-    for w in range(2 ** vol):
-        digs = [(w >> (vol - 1 - i)) & 1 for i in range(vol)]
-        codes = [sum(digs[i] * (2 ** (n * n - 1 - t)) for t, i in enumerate(row))
-                 for row in reads]
-        if all(bits[c] for c in codes):
+def torus_brute_search(bits, shape, n, alphabet=2):
+    # the first config in lex order whose every wrapped window is allowed
+    reads = P.window_cells(shape, n)
+    for digs in product(range(alphabet), repeat=math.prod(shape)):
+        if all(bits[P.encode_window([digs[i] for i in row], alphabet)] for row in reads):
             return digs
     return None
 
@@ -354,7 +385,7 @@ def test_torus_transfer_n3_matches_brute_force():
         got = A._torus_transfer(omega, (3, 5))
         assert (brute is None) == (got is None), t
         if got is not None:
-            reads = A._torus_window_codes((3, 5), 3, 2)
+            reads = P.window_cells((3, 5), 3)
             codes = [sum(got[i] * (2 ** (9 - 1 - s)) for s, i in enumerate(row))
                      for row in reads]
             assert all(bits[c] for c in codes)
@@ -452,7 +483,7 @@ def brute_torus_count(omega, shape):
     digs = np.array(list(np.ndindex(*(A_,) * vol)), dtype=np.int64).reshape(-1, vol)
     weights = A_ ** np.arange(omega.n ** omega.d - 1, -1, -1, dtype=np.int64)
     ok = np.ones(len(digs), dtype=bool)
-    for row in A._torus_window_codes(shape, omega.n, A_):
+    for row in P.window_cells(shape, omega.n):
         ok &= omega.bits[digs[:, row] @ weights]
     return int(ok.sum())
 
@@ -479,6 +510,24 @@ def test_periodic_count_alpha_one_identity_d2_large_pool():
     for k in (6, 7):
         ell = k - 2 + 1
         assert A.count_periodic_fillins(full2, k).count == 2 ** (ell * ell)
+
+
+def test_torus_direct_is_first_hit_of_brute_force():
+    # lex-least config by plain enumeration, d = 2 and 3, hits and misses
+    rng = np.random.default_rng(16)
+    cases = ([(2, n, a, s) for n in (1, 2) for a in (2, 3)
+              for s in ((1, 1), (1, 3), (2, 2), (3, 2), (2, 3))]
+             + [(3, 2, 2, s) for s in ((1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 2))])
+    hits = misses = 0
+    for d, n, alphabet, shape in cases:
+        for _ in range(3):
+            bits = rng.random(alphabet ** (n ** d)) < rng.uniform(0.3, 0.95)
+            omega = AllowedSet(d, n, alphabet, bits)
+            got = A._torus_direct(omega, shape)
+            assert got == torus_brute_search(bits, shape, n, alphabet), (d, n, alphabet, shape)
+            hits += got is not None
+            misses += got is None
+    assert hits and misses
 
 
 def test_torus_transfer_d3_matches_direct():

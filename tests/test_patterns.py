@@ -93,6 +93,42 @@ def test_windows_of_tiled_pattern_contain_tile():
     assert P.encode_window(tile.reshape(-1), 2) in P.windows(u, 3)
 
 
+def triple_loop_window_cells(shape, n):
+    """Oracle: per anchor and per window cell, the wrapped point's flat index."""
+    d = len(shape)
+    idx = []
+    for anchor in product(*(range(s) for s in shape)):
+        row = []
+        for rel in product(range(n), repeat=d):
+            p = tuple((a + r) % s for a, r, s in zip(anchor, rel, shape))
+            flat = 0
+            for i in range(d):
+                flat = flat * shape[i] + p[i]
+            row.append(flat)
+        idx.append(row)
+    return np.asarray(idx, dtype=np.int64)
+
+
+def test_window_cells_match_triple_loop():
+    # sides 1..5 in every d, so some windows wrap more than once around an axis
+    for d in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            for shape in product(range(1, 6), repeat=d):
+                got = P.window_cells(shape, n)
+                assert np.array_equal(got, triple_loop_window_cells(shape, n)), (shape, n)
+
+
+def test_id_window_codes_match_encode_window():
+    rng = np.random.default_rng(3)
+    for alphabet, cells in ((2, 1), (2, 12), (3, 7)):
+        ids = rng.integers(0, alphabet ** cells, 50)
+        reads = rng.integers(0, cells, (6, 4))
+        got = P.id_window_codes(ids, cells, reads, alphabet)
+        for i, row in zip(ids.tolist(), got.tolist()):
+            digs = [i // alphabet ** (cells - 1 - c) % alphabet for c in range(cells)]
+            assert row == [P.encode_window([digs[c] for c in r], alphabet) for r in reads]
+
+
 def test_complexity_histogram_frozen_and_oracle():
     # frozen oracle values for the tiny case used by the moment identity
     hist = P.complexity_histogram(2, 1, 2, 4)
