@@ -135,19 +135,16 @@ def _chunks_per_alpha(fn, cfg: ExperimentConfig, *extra):
 # ---------------------------------------------------------------------------
 # chunk workers (top level for pickling)
 
-def _verdicts_for(params: EnsembleParams, lo: int, hi: int, k_max: int,
-                  torus_max: int, bits=None, certify=False):
-    """Verdict codes of trials lo..hi, sampled here unless their rows are
-    given in bits, and per trial whether a nonempty verdict carries a finite
-    orbit.  d = 1 verdicts come from pruning, and the orbit, a shortest cycle
-    of the pruned graph, is extracted only for the rows marked in certify (a
-    bool or a row mask); d >= 2 verdicts come from decide_empty with its
-    torus orbit."""
-    trials = range(lo, hi)
-    certified = np.ones(hi - lo, dtype=bool)
+def _verdicts_for(params: EnsembleParams, lo: int, k_max: int, torus_max: int,
+                  bits, certify=False):
+    """Verdict codes of trials lo, lo+1, ..., one per row of bits (row i is
+    sample(params, lo + i)), and per trial whether a nonempty verdict carries
+    a finite orbit.  d = 1 verdicts come from pruning, and the orbit, a
+    shortest cycle of the pruned graph, is extracted only for the rows marked
+    in certify (a bool or a row mask); d >= 2 verdicts come from decide_empty
+    with its torus orbit."""
+    certified = np.ones(len(bits), dtype=bool)
     if params.d == 1:
-        if bits is None:
-            bits = sample_bits_batch(params, trials)
         alive = analysis.prune_rows(bits, params.n, params.alphabet)
         nonempty = alive.any(axis=1)
         for i in np.nonzero(nonempty & certify)[0]:
@@ -155,11 +152,10 @@ def _verdicts_for(params: EnsembleParams, lo: int, hi: int, k_max: int,
             certified[i] = word is not None
         return np.where(nonempty, VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8), certified
     codes = {"empty": VERDICT_EMPTY, "nonempty": VERDICT_NONEMPTY, "unknown": VERDICT_UNKNOWN}
-    out = np.empty(hi - lo, dtype=np.uint8)
-    for i, t in enumerate(trials):
-        omega = (sample(params, t) if bits is None else
-                 analysis.AllowedSet(params.d, params.n, params.alphabet, bits[i],
-                                     params.seed, t))
+    out = np.empty(len(bits), dtype=np.uint8)
+    for i, row in enumerate(bits):
+        omega = analysis.AllowedSet(params.d, params.n, params.alphabet, row,
+                                    params.seed, lo + i)
         v = analysis.decide_empty(omega, k_max, torus_max)
         out[i] = codes[v.verdict]
         certified[i] = v.verdict != "nonempty" or v.certificate_orbit is not None
@@ -169,7 +165,8 @@ def _verdicts_for(params: EnsembleParams, lo: int, hi: int, k_max: int,
 def _emptiness_chunk(args):
     (alphabet, d, n, alpha, seed, lo, hi, k_max, torus_max) = args
     params = EnsembleParams(alphabet, d, n, alpha, seed)
-    return _verdicts_for(params, lo, hi, k_max, torus_max)[0]
+    bits = sample_bits_batch(params, range(lo, hi))
+    return _verdicts_for(params, lo, k_max, torus_max, bits)[0]
 
 
 def _orbit_chunk(args):
@@ -181,7 +178,7 @@ def _orbit_chunk(args):
     hits = bits.astype(np.float32) @ masks.T.astype(np.float32)
     any_small = (hits == win_counts[None, :]).any(axis=1)
     # small-orbit trials are certified by the orbit found here
-    verdicts, has_cert = _verdicts_for(params, lo, hi, k_max, torus_max, bits, ~any_small)
+    verdicts, has_cert = _verdicts_for(params, lo, k_max, torus_max, bits, ~any_small)
     nonempty_no_small = (verdicts == VERDICT_NONEMPTY) & ~any_small
     gn_candidate = nonempty_no_small & ~has_cert
     return verdicts, any_small, nonempty_no_small, gn_candidate
