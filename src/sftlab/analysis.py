@@ -6,30 +6,34 @@ Dimension 1 is decided exactly on the window-overlap digraph.  For d >= 2 the
 decision is a semi-decision: an exact existence search over growing cube sides
 (failure certifies emptiness) interleaved with a periodic-torus search over
 growing shapes (success certifies nonemptiness via a finite orbit); both may
-exhaust their cutoffs, leaving an honest Unknown.
+exhaust their cutoffs, leaving an honest Unknown.  `decide_empty_batch` runs
+this stage schedule once for many trials in trial lanes: 64 trials packed into
+one uint64 word (`ensemble.pack_lanes`), bit r being trial r, so that one
+(or, and) pass answers 64 trials; `decide_empty` is its batch of one.
 
 Existence, pattern counts and periodic fill-in counts all run one recursion,
 `_frontier_weights`: it walks the side-k cube cell by cell in row-major order,
 carrying a weight for each content of the last m cells (m = n for d = 1), with
 optional per-cell clamps and a batch axis for many boundaries at once.  Its
-dtype picks the semiring: bool (or, and) for existence, float64 or exact
-Python ints (+, *) for counts.  Budgets: the frontier holds at most
-2^FRONTIER_BUDGET_BITS states, or 2^COUNT_STATE_BUDGET_BITS with exact ints;
-the one exactness guard uses float64 only while |A|^(free cells) <= 2^52
-(free cells k^d, or max(0, k-2n)^d with the boundary clamped).
+dtype picks the semiring: the uint64 lane semiring (or, and) for existence,
+one word of 64 trials per walk, float64 or exact Python ints (+, *) for
+counts.  Budgets: the frontier holds at most 2^FRONTIER_BUDGET_BITS states,
+or 2^COUNT_STATE_BUDGET_BITS with exact ints; the one exactness guard uses
+float64 only while |A|^(free cells) <= 2^52 (free cells k^d, or
+max(0, k-2n)^d with the boundary clamped).
 
 Torus search and exact periodic counts run one cyclic slab transfer,
 `_slab_walk`: a config on the wraparound shape (b, *cross) is a closed walk of
 length b over states of n-1 stacked slabs of the cyclic cross-section (one
 cell for d = 1), a step allowed when every window of its n-slab block is.  The
-dtype picks the semiring as above: bool finds the lex-least torus config, and
+dtype picks the semiring: bool (or, and) finds the lex-least torus config, and
 the ell-periodic point count is the trace on the ell^d torus, exact by the
 same guard with free cells ell^d.  Budgets: the block table and each pass hold
 at most 2^FRONTIER_BUDGET_BITS entries, or 2^COUNT_STATE_BUDGET_BITS with
 exact ints, and a walk from every state takes at most 2^(22 - 18) = 16 passes.
 A shape with at most TORUS_DIRECT_BUDGET configs is searched directly instead,
-by one gather over the cached `_torus_table` of every config's window codes,
-the cache that also holds the slab transfer's block tables.
+by ANDing the trial lanes over the cached `_torus_table` of every config's
+window codes, the cache that also holds the slab transfer's block tables.
 """
 
 import math
@@ -41,8 +45,9 @@ import numpy as np
 
 from . import patterns as pt
 from .errors import CertificateError, DomainError, ResourceBudgetError
-from .ensemble import AllowedSet, orbit_allowed, stream_words, TAG_BOUNDARY
-from .orbits import Orbit, orbit_from_config, orbit_window_table
+from .ensemble import (AllowedSet, orbit_allowed, pack_lanes, stream_words, unpack_lanes,
+                       TAG_BOUNDARY)
+from .orbits import Orbit, _canonical_rows, orbit_from_config, orbit_window_table
 
 FRONTIER_BUDGET_BITS = 22
 COUNT_STATE_BUDGET_BITS = 18
@@ -230,22 +235,27 @@ def _frontier_weights(bits, d: int, n: int, alphabet: int, k: int, dtype,
     """Walk the side-k cube cell by cell in row-major order, carrying a weight
     per frontier state and batch row; returns them shaped (batch, states).
 
-    dtype picks the semiring: bool is (or, and) for existence; float64 and
-    object (exact Python ints, held to COUNT_STATE_BUDGET_BITS) are (+, *) for
-    counts.  Clamps: owners maps a cell to the column of syms, shaped (batch,
-    free cells), that holds the symbol the cell is fixed to in each row."""
+    dtype picks the semiring: uint64 is the lane semiring (or, and) for
+    existence, where bits is one word of trial lanes per window and bit r of
+    a weight is trial r; float64 and object (exact Python ints, held to
+    COUNT_STATE_BUDGET_BITS) are (+, *) for counts.  Clamps: owners maps a
+    cell to the column of syms, shaped (batch, free cells), that holds the
+    symbol the cell is fixed to in each row."""
     if k < n:
         raise DomainError("need k >= n")
     A = alphabet
     m, codes = _frontier_tables(d, n, A, k)
     if dtype is object and m * math.log2(A) > COUNT_STATE_BUDGET_BITS:
         raise ResourceBudgetError("exact counting state space over budget")
-    add, mul = (np.logical_or, np.logical_and) if dtype is bool else (np.add, np.multiply)
+    if dtype is np.uint64:
+        add, mul, one = np.bitwise_or, np.bitwise_and, ~np.uint64(0)
+    else:
+        add, mul, one = np.add, np.multiply, 1
     sub = A ** (m - 1)  # contents of the m-1 older cells
     check = bits[codes].reshape(A, sub)
     batch = 1 if syms is None else len(syms)
     w = np.zeros((batch, A, sub), dtype=dtype)
-    w[:, 0, 0] = 1  # warm-up digits are never read before m real cells exist
+    w[:, 0, 0] = one  # warm-up digits are never read before m real cells exist
     for cell in product(range(k), repeat=d):
         old = w.reshape(batch, sub, A)  # oldest digit last
         agg = old[:, :, 0].copy()
@@ -263,10 +273,21 @@ def _frontier_weights(bits, d: int, n: int, alphabet: int, k: int, dtype,
     return w.reshape(batch, A * sub)
 
 
+def _exists_lanes(lanes: np.ndarray, d: int, n: int, alphabet: int, k: int) -> np.ndarray:
+    """Per word of (windows, G) trial lanes, the lanes whose trial has a
+    side-k pattern all of whose windows are allowed: (G,) uint64.  The
+    frontier walks one 64-trial word at a time."""
+    return np.array([
+        np.bitwise_or.reduce(_frontier_weights(lanes[:, g], d, n, alphabet, k, np.uint64),
+                             axis=None)
+        for g in range(lanes.shape[1])
+    ], dtype=np.uint64)
+
+
 def pattern_exists(omega: AllowedSet, k: int) -> bool:
     """Exact: is there a side-k pattern all of whose windows are allowed?"""
-    return bool(_frontier_weights(omega.bits, omega.d, omega.n, omega.alphabet,
-                                  k, bool).any())
+    lanes = pack_lanes(omega.bits[None, :])
+    return bool(_exists_lanes(lanes, omega.d, omega.n, omega.alphabet, k)[0])
 
 
 def count_patterns_1d_fast(bits: np.ndarray, n: int, alphabet: int, k: int) -> float:
@@ -300,15 +321,29 @@ def _torus_table(shape, n: int, alphabet: int, anchors: int) -> np.ndarray:
     return out
 
 
+def _torus_direct_lanes(lanes: np.ndarray, count: int, shape, n: int, alphabet: int):
+    """Lex-least allowed config on the wraparound shape for each of the count
+    trials in (windows, G) lanes: (found, configs), configs shaped (count,
+    volume) as uint8 flat symbols, 0 where nothing was found.  The cached
+    table of every config is ANDed into (configs, G) lanes one anchor column
+    at a time; a trial's config is the first one whose bit is set."""
+    vol = math.prod(shape)
+    table = _torus_table(tuple(shape), n, alphabet, vol)
+    ok = lanes[table[:, 0]]
+    for a in range(1, vol):
+        ok &= lanes[table[:, a]]
+    hits = unpack_lanes(ok, count)
+    first = hits.argmax(axis=1)[:, None]
+    digits = alphabet ** np.arange(vol - 1, -1, -1, dtype=np.int64)
+    return hits.any(axis=1), (first // digits % alphabet).astype(np.uint8)
+
+
 def _torus_direct(omega: AllowedSet, shape):
-    """Lex-least allowed config on the wraparound shape, by one gather over
-    the cached table of every config."""
-    A, vol = omega.alphabet, math.prod(shape)
-    ok = omega.bits[_torus_table(tuple(shape), omega.n, A, vol)].all(axis=1)
-    if not ok.any():
-        return None
-    first = int(np.argmax(ok))
-    return tuple(first // A ** (vol - 1 - c) % A for c in range(vol))
+    """Lex-least allowed config on the wraparound shape (flat symbols) by the
+    direct search, or None."""
+    found, cfgs = _torus_direct_lanes(pack_lanes(omega.bits[None, :]), 1, shape,
+                                      omega.n, omega.alphabet)
+    return tuple(cfgs[0].tolist()) if found[0] else None
 
 
 def _walk_budget(dtype) -> int:
@@ -335,10 +370,10 @@ def _slab_gate(omega: AllowedSet, cross, dtype) -> np.ndarray:
 
 def _slab_walk(gate: np.ndarray, starts, ends, steps: int, dtype) -> np.ndarray:
     """Weight of the length-`steps` walks from each start state to its end
-    state.  dtype picks the semiring as in _frontier_weights, bool running as
-    float32 0/1 weights saturated at 1 after each step.  Each pass walks a
-    batch of starts holding at most 2^FRONTIER_BUDGET_BITS weights, or
-    2^COUNT_STATE_BUDGET_BITS with exact ints."""
+    state.  dtype picks the semiring: bool is (or, and), run as float32 0/1
+    weights saturated at 1 after each step; float64 and object are (+, *).
+    Each pass walks a batch of starts holding at most 2^FRONTIER_BUDGET_BITS
+    weights, or 2^COUNT_STATE_BUDGET_BITS with exact ints."""
     S, X = gate.shape
     H = min(S, X)  # values of the oldest slab, which a step drops (none if n = 1)
     work = np.float32 if dtype is bool else dtype
@@ -389,66 +424,122 @@ def torus_config(omega: AllowedSet, shape):
     return _torus_transfer(omega, shape)
 
 
-def decide_empty(omega: AllowedSet, k_max: int, torus_max: int) -> EmptinessVerdict:
-    """Semi-decision: existence search over k = n..k_max (failure => empty with
-    certificate k) interleaved with wraparound searches over shapes with sides
-    up to torus_max (success => nonempty with an orbit certificate).  Unknown
-    when both exhaust."""
-    if omega.d == 1:
-        return decide_empty_1d(omega)
-    n, d, A = omega.n, omega.d, omega.alphabet
+def _torus_orbits(omegas, shape, cfgs: np.ndarray):
+    """Certificate orbits of the configs (rows of flat symbols) found on the
+    wraparound shape, one per allowed set.  The rows are canonicalised in one
+    batch; a row that a nontrivial translate fixes has a coarser stabilizer
+    and goes through orbit_from_config.  Each orbit is checked against its
+    allowed set's windows."""
+    d = len(shape)
+    H = tuple(tuple(shape[i] if i == j else 0 for j in range(d)) for i in range(d))
+    fixed, canon = _canonical_rows(H, cfgs)
+    out = []
+    for omega, cfg, fix, row in zip(omegas, cfgs, fixed, canon):
+        orbit = (orbit_from_config(H, cfg, omega.alphabet) if fix[1:].any()
+                 else Orbit(H, tuple(row.tolist()), omega.alphabet))
+        if not orbit_allowed(omega, orbit):
+            raise CertificateError(f"torus config on {shape} shows a forbidden window")
+        out.append(orbit)
+    return out
+
+
+def decide_empty_batch(omegas, k_max: int, torus_max: int) -> list:
+    """Semi-decision for allowed sets of one (d, n, |A|): existence search
+    over k = n..k_max (failure => empty with certificate k) interleaved with
+    wraparound searches over shapes with sides up to torus_max (success =>
+    nonempty with an orbit certificate).  Unknown when both exhaust.
+
+    The stage schedule and its budget clips depend only on (d, n, |A|, k,
+    shape), so it is walked once for the whole batch: the trials still
+    undecided are packed into lanes, each stage answers all of them, and the
+    lanes are repacked once a stage decides some.  Every verdict, certificate
+    and effort dict is the one the trial gets alone.  d = 1 decides each set
+    exactly by decide_empty_1d."""
+    omegas = list(omegas)
+    if not omegas:
+        return []
+    d, n, A = omegas[0].d, omegas[0].n, omegas[0].alphabet
+    if any((o.d, o.n, o.alphabet) != (d, n, A) for o in omegas):
+        raise DomainError("a batch needs one (d, n, alphabet)")
+    if d == 1:
+        return [decide_empty_1d(o) for o in omegas]
     shapes = sorted(
         product(*(range(1, torus_max + 1),) * d),
         key=lambda s: (max(s), math.prod(s), s),
     ) if torus_max >= 1 else []
+    bits = np.stack([o.bits for o in omegas])
+    out = [None] * len(omegas)
+    live = np.arange(len(omegas))
+    lanes = pack_lanes(bits)
+
+    def retire(done):
+        """The live trials and their lanes once the done ones leave."""
+        return live[~done], pack_lanes(bits[live[~done]]) if done.any() else lanes
+
     checked_k = 0
     tori_tried = 0
     clipped = []
     k_ceiling, torus_ceiling = k_max, torus_max
     step = 0
-    while True:
+    while len(live):
         k = n + step
         progress = False
         if k <= k_ceiling:
+            progress = True
+            checked_k = k
             try:
-                progress = True
-                checked_k = k
-                if not pattern_exists(omega, k):
-                    return EmptinessVerdict(
-                        "empty", certificate_k=k,
-                        effort={"k_checked": k, "tori_tried": tori_tried})
+                words = _exists_lanes(lanes, d, n, A, k)
             except ResourceBudgetError:
                 # existence search exhausted early; keep the torus search going
-                k_ceiling = k - 1
-                checked_k = k - 1
+                k_ceiling = checked_k = k - 1
                 clipped.append(f"k>{k - 1}")
+            else:
+                empty = ~unpack_lanes(words[None, :], len(live))[:, 0]
+                for i in live[empty]:
+                    out[i] = EmptinessVerdict(
+                        "empty", certificate_k=k,
+                        effort={"k_checked": k, "tori_tried": tori_tried})
+                live, lanes = retire(empty)
         for shape in shapes:
-            if max(shape) != step + 1 or max(shape) > torus_ceiling:
+            if max(shape) != step + 1 or max(shape) > torus_ceiling or not len(live):
                 continue
             progress = True
+            tori_tried += 1
             try:
-                tori_tried += 1
-                cfg = torus_config(omega, shape)
+                if A ** math.prod(shape) <= TORUS_DIRECT_BUDGET:
+                    found, cfgs = _torus_direct_lanes(lanes, len(live), shape, n, A)
+                else:
+                    hits = [_torus_transfer(omegas[i], shape) for i in live]
+                    found = np.array([c is not None for c in hits])
+                    cfgs = np.array([c or (0,) * math.prod(shape) for c in hits], dtype=np.uint8)
             except ResourceBudgetError:
                 torus_ceiling = max(shape) - 1
                 clipped.append(f"torus>{max(shape) - 1}")
                 break
-            if cfg is not None:
-                H = tuple(tuple(shape[i] if i == j else 0 for j in range(d))
-                          for i in range(d))
-                orbit = orbit_from_config(H, cfg, A)
-                if not orbit_allowed(omega, orbit):
-                    raise CertificateError(f"torus config on {shape} shows a forbidden window")
-                return EmptinessVerdict(
-                    "nonempty", certificate_orbit=orbit,
-                    effort={"k_checked": checked_k, "tori_tried": tori_tried,
-                            "torus_shape": shape})
+            if found.any():
+                rows = live[found]
+                orbits = _torus_orbits([omegas[i] for i in rows], shape, cfgs[found])
+                for i, orbit in zip(rows, orbits):
+                    out[i] = EmptinessVerdict(
+                        "nonempty", certificate_orbit=orbit,
+                        effort={"k_checked": checked_k, "tori_tried": tori_tried,
+                                "torus_shape": shape})
+                live, lanes = retire(found)
         if not progress:
-            effort = {"k_checked": checked_k, "tori_tried": tori_tried}
-            if clipped:
-                effort["budget_clipped"] = clipped
-            return EmptinessVerdict("unknown", effort=effort)
+            for i in live:
+                effort = {"k_checked": checked_k, "tori_tried": tori_tried}
+                if clipped:
+                    effort["budget_clipped"] = list(clipped)
+                out[i] = EmptinessVerdict("unknown", effort=effort)
+            break
         step += 1
+    return out
+
+
+def decide_empty(omega: AllowedSet, k_max: int, torus_max: int) -> EmptinessVerdict:
+    """The semi-decision of decide_empty_batch for one allowed set (exact for
+    d = 1)."""
+    return decide_empty_batch([omega], k_max, torus_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,28 @@ def sample_bits_batch(params: EnsembleParams, trials) -> np.ndarray:
     return out
 
 
+def pack_lanes(rows: np.ndarray) -> np.ndarray:
+    """Trial lanes of boolean rows (trials, windows): a (windows, G) uint64
+    array, G = ceil(trials / 64), whose word [w, g] holds rows[64 g + r, w] in
+    bit r.  Lanes past the last trial are 0."""
+    rows = np.asarray(rows, dtype=bool)
+    count, w = rows.shape
+    groups = -(-count // 64)
+    padded = np.zeros((groups * 64, w), dtype=bool)
+    padded[:count] = rows
+    packed = np.packbits(padded.reshape(groups, 64, w), axis=1, bitorder="little")
+    words = np.ascontiguousarray(packed.transpose(2, 0, 1)).view("<u8")
+    return words.reshape(w, groups).astype(np.uint64, copy=False)
+
+
+def unpack_lanes(lanes: np.ndarray, count: int) -> np.ndarray:
+    """The boolean rows (count, columns) of (columns, G) trial lanes; the
+    inverse of pack_lanes."""
+    raw = np.ascontiguousarray(lanes, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw.reshape(len(lanes), -1, 8), axis=2, bitorder="little")
+    return bits.reshape(len(lanes), -1)[:, :count].T.astype(bool)
+
+
 def is_locally_allowed(omega: AllowedSet, u: pt.Pattern) -> bool:
     """True when every side-n window of u is retained."""
     codes = pt.windows(u, omega.n)

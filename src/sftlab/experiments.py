@@ -141,8 +141,8 @@ def _verdicts_for(params: EnsembleParams, lo: int, k_max: int, torus_max: int,
     sample(params, lo + i)), and per trial whether a nonempty verdict carries
     a finite orbit.  d = 1 verdicts come from pruning, and the orbit, a
     shortest cycle of the pruned graph, is extracted only for the rows marked
-    in certify (a bool or a row mask); d >= 2 verdicts come from decide_empty
-    with its torus orbit."""
+    in certify (a bool or a row mask); d >= 2 verdicts come from one
+    decide_empty_batch over the chunk, with their torus orbits."""
     certified = np.ones(len(bits), dtype=bool)
     if params.d == 1:
         alive = analysis.prune_rows(bits, params.n, params.alphabet)
@@ -153,10 +153,9 @@ def _verdicts_for(params: EnsembleParams, lo: int, k_max: int, torus_max: int,
         return np.where(nonempty, VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8), certified
     codes = {"empty": VERDICT_EMPTY, "nonempty": VERDICT_NONEMPTY, "unknown": VERDICT_UNKNOWN}
     out = np.empty(len(bits), dtype=np.uint8)
-    for i, row in enumerate(bits):
-        omega = analysis.AllowedSet(params.d, params.n, params.alphabet, row,
-                                    params.seed, lo + i)
-        v = analysis.decide_empty(omega, k_max, torus_max)
+    omegas = [analysis.AllowedSet(params.d, params.n, params.alphabet, row, params.seed, lo + i)
+              for i, row in enumerate(bits)]
+    for i, v in enumerate(analysis.decide_empty_batch(omegas, k_max, torus_max)):
         out[i] = codes[v.verdict]
         certified[i] = v.verdict != "nonempty" or v.certificate_orbit is not None
     return out, certified

@@ -16,7 +16,7 @@ from math import comb, prod
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateGeometryError, DomainError
+from .errors import CertificateError, DegenerateGeometryError, DomainError
 
 MAX_DIM = 3          # desk-scale guard
 MAX_POINTSET = 10**6
@@ -176,7 +176,8 @@ def faces_of_dim(k: int, d: int, ell: int):
     for restricted in combinations(range(d), d - ell):
         for anchor in product((0, k - 1), repeat=d - ell):
             out.append(Face(d, k, tuple(restricted), tuple(anchor)))
-    assert len(out) == face_count(d, ell)
+    if len(out) != face_count(d, ell):
+        raise CertificateError(f"{len(out)} faces of dimension {ell}, not {face_count(d, ell)}")
     return out
 
 

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import CertificateError, DomainError, PreconditionError
 from .geometry import (Cube, Face, PointSet, faces_of_dim, face_count,
                        full_cube, interior)
 from . import patterns as pt
@@ -252,8 +252,10 @@ def cover_near_face(k: int, n: int, face: Face, cubes, radius=None):
     box = (start, stop)
     u_all = _paint([c.origin for c in relevant], n, box)
     u_sel = _paint([c.origin for c in selected], n, box)
-    assert np.array_equal(u_sel, u_all), "near-face selection changed the covered region"
-    assert n * len(selected) <= 2 * int(u_all.sum())
+    if not np.array_equal(u_sel, u_all):
+        raise CertificateError("near-face selection changed the covered region")
+    if n * len(selected) > 2 * int(u_all.sum()):
+        raise CertificateError(f"{len(selected)} near-face cubes exceed the 2|U|/n bound")
     return selected, {"axis_order": perm, "reflected": flips}
 
 
@@ -295,7 +297,8 @@ def necessary_points(T: PointSet, k: int, n: int, ell: int, r: int) -> PointSet:
     band = necessary & (r < skel_dist) & (skel_dist <= n)
     result = PointSet.from_grid(band, (0,) * d)
     bound = Fraction(d * (k ** d - len(T)), r)
-    assert len(result) < bound or (len(result) == 0 and bound == 0)
+    if not (len(result) < bound or (len(result) == 0 and bound == 0)):
+        raise CertificateError(f"{len(result)} necessary points reach the bound {bound}")
     return result
 
 
@@ -360,8 +363,10 @@ def cover_interior(k: int, d0: int, n: int, cubes):
     # verify coverage and the cardinality bound
     covered = _paint([c.origin for c in chosen], n, host)
     inner = np.array(box_interior.points, dtype=int).reshape(-1, d0)
-    assert covered[tuple(inner.T)].all(), "interior point left uncovered"
-    assert len(chosen) * (n ** d0) <= (2 * k) ** d0
+    if not covered[tuple(inner.T)].all():
+        raise CertificateError("interior point left uncovered")
+    if len(chosen) * (n ** d0) > (2 * k) ** d0:
+        raise CertificateError(f"{len(chosen)} interior cubes exceed the (2k/n)^d bound")
     return chosen
 
 
@@ -461,14 +466,15 @@ def efficient_cover(u: pt.Pattern, n: int, r: int, ell: int) -> CoverReport:
     uniq = list({(rep.s1, rep.s2): rep for rep in selected}.values())
     patched_list, added = _patch_residual(uniq, n, index)
     cover = RepeatCover(sorted(patched_list, key=lambda t: (t.s2, t.s1)), n, u.shape)
-    assert np.array_equal(cover.area_grid(), area_all), \
-        "covered area must match the full repeat area"
+    if not np.array_equal(cover.area_grid(), area_all):
+        raise CertificateError("covered area must match the full repeat area")
     t1 = Fraction(2 * face_count(d, ell) * (k ** ell) * (r ** (d - ell)), n)
     t2 = Fraction(d * (k ** d - int(area_all.sum())), r)
     t3 = sum(face_count(d, d0) * Fraction(2 * k, n) ** d0 for d0 in range(ell + 1, d + 1))
     total = t1 + t2 + t3
-    assert len(cover.repeats) <= total, (
-        f"cover size {len(cover.repeats)} exceeds three-term bound {float(total)}")
+    if len(cover.repeats) > total:
+        raise CertificateError(
+            f"cover size {len(cover.repeats)} exceeds three-term bound {float(total)}")
     return CoverReport(cover, j, ell, r, (float(t1), float(t2), float(t3)),
                        float(total), added)
 
@@ -483,8 +489,10 @@ def full_cube_cover(u: pt.Pattern, n: int) -> RepeatCover:
     kept, _ = cover_near_face(k, n, face, [Cube(a, n) for a in by_anchor], radius=n)
     patched, _ = _patch_residual([by_anchor[c.origin] for c in kept], n, index)
     cover = RepeatCover(sorted(patched, key=lambda t: (t.s2, t.s1)), n, u.shape)
-    assert np.array_equal(cover.area_grid(), area_all)
-    assert len(cover.repeats) * n <= 2 * (k ** d)
+    if not np.array_equal(cover.area_grid(), area_all):
+        raise CertificateError("covered area must match the full repeat area")
+    if len(cover.repeats) * n > 2 * (k ** d):
+        raise CertificateError(f"cover size {len(cover.repeats)} exceeds 2 k^d / n")
     return cover
 
 

@@ -312,13 +312,15 @@ def test_criterion_8_lemma_suite():
         arr = np.array([(w >> i) & 1 for i in range(6)][::-1], dtype=np.uint8)
         u = P.Pattern.from_array(arr, 2)
         cov = R.full_cover(u, 2)
-        off = PointSet([q for q in u.points() if q not in set(cov.area())])
+        area = set(cov.area())
+        off = PointSet([q for q in u.points() if q not in area])
         assert R.reconstruct(cov, u.restrict(off)) == u
     for _ in range(1000):
         arr = (rng.random((12, 12)) < 0.5).astype(np.uint8)
         u = P.Pattern.from_array(arr, 2)
         cov = R.full_cover(u, 3)
-        off = PointSet([q for q in u.points() if q not in set(cov.area())])
+        area = set(cov.area())
+        off = PointSet([q for q in u.points() if q not in area])
         assert R.reconstruct(cov, u.restrict(off)) == u
     report.append("reconstruction 64 exhaustive + 1000 random")
 
@@ -330,7 +332,7 @@ def test_criterion_8_lemma_suite():
         anchors = rng.integers(0, kk - nn + 1, size=(int(rng.integers(1, 40)), 2))
         cubes = [Cube((int(a), int(b)), nn) for a, b in anchors]
         kept, _ = R.cover_near_face(kk, nn, face, cubes)
-        # union preservation and the 2|U|/n bound are asserted inside
+        # union preservation and the 2|U|/n bound are checked inside (CertificateError)
         assert len(kept) <= len(cubes)
     report.append("near-face selection 500")
 
@@ -344,7 +346,7 @@ def test_criterion_8_lemma_suite():
         assert len(res) < bound or (len(res) == 0 and bound == 0)
     report.append("necessary points 200")
 
-    # --- interior cover (bound asserted inside, coverage re-verified)
+    # --- interior cover (bound checked inside, coverage re-verified)
     for _ in range(50):
         anchors = sorted(set(int(a) for a in rng.integers(0, 15, size=20)))
         cubes = [Cube((a,), 6) for a in anchors]

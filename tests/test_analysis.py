@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -7,11 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftlab import analysis as A
 from sftlab import patterns as P
-from sftlab.ensemble import AllowedSet, EnsembleParams, orbit_allowed, sample
-from sftlab.errors import CertificateError, DomainError
+from sftlab.ensemble import (AllowedSet, EnsembleParams, orbit_allowed, pack_lanes, sample,
+                             unpack_lanes)
+from sftlab.errors import CertificateError, DomainError, ResourceBudgetError
+from sftlab.orbits import orbit_from_config
+
+# deterministic property tests, no example database left behind
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 def golden_mean():
@@ -288,16 +295,27 @@ def test_forged_certificate_raises(monkeypatch):
         A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool)))
 
 
+def test_forged_certificate_in_a_batch_raises(monkeypatch):
+    # one forged row among five certified at the same shape is refused
+    full = [AllowedSet(2, 2, 2, np.ones(16, bool), trial=t) for t in range(5)]
+    monkeypatch.setattr(A, "orbit_allowed", lambda omega, orbit: omega.trial != 2)
+    with pytest.raises(CertificateError):
+        A.decide_empty_batch(full, 4, 2)
+    assert all(v.is_nonempty for v in A.decide_empty_batch(full[:2] + full[3:], 4, 2))
+
+
 def test_forged_certificate_raises_under_python_O():
     script = "\n".join([
         "import numpy as np",
         "from sftlab import analysis as A",
         "from sftlab.ensemble import AllowedSet",
         "from sftlab.errors import CertificateError",
-        "A.orbit_allowed = lambda omega, orbit: False",
+        "A.orbit_allowed = lambda omega, orbit: omega.trial != 2",
+        "full = [AllowedSet(2, 2, 2, np.ones(16, bool), trial=t) for t in range(5)]",
         "print(__debug__)",
-        "for call in (lambda: A.decide_empty(AllowedSet(2, 2, 2, np.ones(16, bool)), 4, 2),",
-        "             lambda: A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool)))):",
+        "for call in (lambda: A.decide_empty(full[2], 4, 2),",
+        "             lambda: A.decide_empty_batch(full, 4, 2),",
+        "             lambda: A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool), trial=2))):",
         "    try:",
         "        call()",
         "    except CertificateError:",
@@ -307,7 +325,7 @@ def test_forged_certificate_raises_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "raised", "raised"]
+    assert out.split() == ["False", "raised", "raised", "raised"]
 
 
 def test_decide_empty_d2_verdicts_sound():
@@ -428,6 +446,156 @@ def test_decide_empty_d3_tiny():
     assert v.is_nonempty and v.certificate_orbit.size == 1
     v = A.decide_empty(AllowedSet(3, 2, 2, np.zeros(256, bool)), 3, 2)
     assert v.is_empty and v.certificate_k == 2
+
+
+# ---------------------------------------------------------------------------
+# trial lanes against the one-trial searches
+
+def oracle_torus(omega, shape):
+    """The one-trial torus search: a bool gather over every config of a small
+    shape, the slab transfer past TORUS_DIRECT_BUDGET."""
+    vol, a = math.prod(shape), omega.alphabet
+    if a ** vol > A.TORUS_DIRECT_BUDGET:
+        return A._torus_transfer(omega, shape)
+    ok = omega.bits[A._torus_table(tuple(shape), omega.n, a, vol)].all(axis=1)
+    if not ok.any():
+        return None
+    first = int(np.argmax(ok))
+    return tuple(first // a ** (vol - 1 - c) % a for c in range(vol))
+
+
+def oracle_decide_empty(omega, k_max, torus_max):
+    """The one-trial stage schedule, with existence by the float64 count
+    frontier and each certificate by orbit_from_config."""
+    n, d, a = omega.n, omega.d, omega.alphabet
+    shapes = sorted(
+        product(*(range(1, torus_max + 1),) * d),
+        key=lambda s: (max(s), math.prod(s), s),
+    ) if torus_max >= 1 else []
+    checked_k = tori_tried = 0
+    clipped = []
+    k_ceiling, torus_ceiling = k_max, torus_max
+    step = 0
+    while True:
+        k = n + step
+        progress = False
+        if k <= k_ceiling:
+            try:
+                progress = True
+                checked_k = k
+                if not A._frontier_weights(omega.bits, d, n, a, k, np.float64).any():
+                    return A.EmptinessVerdict(
+                        "empty", certificate_k=k,
+                        effort={"k_checked": k, "tori_tried": tori_tried})
+            except ResourceBudgetError:
+                k_ceiling = checked_k = k - 1
+                clipped.append(f"k>{k - 1}")
+        for shape in shapes:
+            if max(shape) != step + 1 or max(shape) > torus_ceiling:
+                continue
+            progress = True
+            try:
+                tori_tried += 1
+                cfg = oracle_torus(omega, shape)
+            except ResourceBudgetError:
+                torus_ceiling = max(shape) - 1
+                clipped.append(f"torus>{max(shape) - 1}")
+                break
+            if cfg is not None:
+                H = tuple(tuple(shape[i] if i == j else 0 for j in range(d))
+                          for i in range(d))
+                orbit = orbit_from_config(H, cfg, a)
+                assert orbit_allowed(omega, orbit)
+                return A.EmptinessVerdict(
+                    "nonempty", certificate_orbit=orbit,
+                    effort={"k_checked": checked_k, "tori_tried": tori_tried,
+                            "torus_shape": shape})
+        if not progress:
+            effort = {"k_checked": checked_k, "tori_tried": tori_tried}
+            if clipped:
+                effort["budget_clipped"] = clipped
+            return A.EmptinessVerdict("unknown", effort=effort)
+        step += 1
+
+
+def _summary(v):
+    return v.verdict, v.certificate_k, v.certificate_orbit, v.effort
+
+
+# (d, n, |A|, alpha, trials, k_max, torus_max); no trial count is a multiple
+# of 64.  d = 2, |A| = 3 certifies some trials on (3, 3) through the slab
+# transfer, and d = 3, |A| = 3 clips the existence search past k = 2.
+LANE_CASES = [
+    (2, 2, 2, 0.25, 130, 6, 4),
+    (2, 3, 2, 0.25, 65, 6, 4),
+    (2, 2, 3, 0.2, 90, 5, 3),
+    (3, 2, 2, 0.15, 63, 3, 2),
+    (3, 2, 3, 0.3, 70, 3, 1),
+]
+
+
+@pytest.mark.parametrize("d, n, alphabet, alpha, trials, k_max, torus_max", LANE_CASES)
+def test_decide_empty_batch_matches_one_trial_oracle(d, n, alphabet, alpha, trials,
+                                                     k_max, torus_max):
+    omegas = [sample(EnsembleParams(alphabet, d, n, alpha, 31), t) for t in range(trials)]
+    got = A.decide_empty_batch(omegas, k_max, torus_max)
+    want = [oracle_decide_empty(o, k_max, torus_max) for o in omegas]
+    assert [_summary(v) for v in got] == [_summary(v) for v in want]
+    assert [_summary(A.decide_empty(o, k_max, torus_max)) for o in omegas[:3]] == \
+        [_summary(v) for v in want[:3]]
+    assert len({v.verdict for v in got}) >= 2
+
+
+def test_decide_empty_batch_reports_budget_clips():
+    omegas = [sample(EnsembleParams(3, 3, 2, 0.5, 31), t) for t in range(70)]
+    clipped = [v for v in A.decide_empty_batch(omegas, 3, 1) if v.verdict == "unknown"]
+    assert clipped and all(v.effort["budget_clipped"] == ["k>2"] for v in clipped)
+
+
+def test_decide_empty_batch_split_anywhere():
+    omegas = [sample(EnsembleParams(2, 2, 2, 0.3, 5), t) for t in range(130)]
+    whole = [_summary(v) for v in A.decide_empty_batch(omegas, 6, 3)]
+    for cut in (0, 1, 63, 64, 65, 129, 130):
+        parts = (A.decide_empty_batch(omegas[:cut], 6, 3)
+                 + A.decide_empty_batch(omegas[cut:], 6, 3))
+        assert [_summary(v) for v in parts] == whole, cut
+
+
+def test_decide_empty_batch_needs_one_parameter_set():
+    with pytest.raises(DomainError):
+        A.decide_empty_batch([AllowedSet(2, 2, 2, np.ones(16, bool)),
+                              AllowedSet(2, 1, 2, np.ones(2, bool))], 3, 1)
+    assert A.decide_empty_batch([], 3, 1) == []
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_exists_2d(row, k):
+    return brute_count_2d(row, k) > 0
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.lists(st.integers(0, 2 ** 16 - 1), min_size=1, max_size=70),
+       st.sampled_from([2, 3]))
+def test_lane_existence_matches_brute_force(masks, k):
+    rows = np.array([[(m >> c) & 1 for c in range(16)] for m in masks], dtype=bool)
+    words = A._exists_lanes(pack_lanes(rows), 2, 2, 2, k)
+    got = unpack_lanes(words[None, :], len(rows))[:, 0]
+    assert got.tolist() == [_brute_exists_2d(tuple(r), k) for r in rows.tolist()]
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data(), st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2), (2, 3)]),
+       st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+def test_lane_direct_torus_is_first_hit_of_brute_force(data, shape, n_alphabet):
+    n, alphabet = n_alphabet
+    w = alphabet ** (n * n)
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                              min_size=1, max_size=70))
+    rows = np.array(rows, dtype=bool)
+    found, cfgs = A._torus_direct_lanes(pack_lanes(rows), len(rows), shape, n, alphabet)
+    for row, f, cfg in zip(rows, found, cfgs):
+        want = torus_brute_search(row, shape, n, alphabet)
+        assert (tuple(cfg.tolist()) if f else None) == want
 
 
 # ---------------------------------------------------------------------------

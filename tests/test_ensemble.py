@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sftlab import patterns as P
 from sftlab.ensemble import (AllowedSet, EnsembleParams, bernoulli_threshold,
-                             is_locally_allowed, orbit_allowed, sample,
-                             sample_bits_batch)
+                             is_locally_allowed, orbit_allowed, pack_lanes, sample,
+                             sample_bits_batch, unpack_lanes)
 from sftlab.errors import DomainError
 from sftlab.orbits import enumerate_orbits, orbit_windows
 
@@ -136,3 +138,17 @@ def test_stream_golden_values():
         0x34B6E42DFDE6CC0C, 0x34B32B2B4FA55CDA]
     omega = sample(EnsembleParams(2, 1, 3, 0.37, 123), 5)
     assert omega.bits.astype(int).tolist() == [1, 0, 0, 0, 1, 1, 0, 0]
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(st.tuples(st.integers(1, 200), st.integers(1, 40)).flatmap(
+    lambda shape: arrays(bool, shape)))
+def test_lanes_round_trip(rows):
+    lanes = pack_lanes(rows)
+    count, w = rows.shape
+    assert lanes.dtype == np.uint64 and lanes.shape == (w, -(-count // 64))
+    assert np.array_equal(unpack_lanes(lanes, count), rows)
+    # bit r of word [w, g] is trial 64 g + r; lanes past the last trial are 0
+    r, col = count - 1, w - 1
+    assert (int(lanes[col, r // 64]) >> (r % 64)) & 1 == rows[r, col]
+    assert not unpack_lanes(lanes, lanes.shape[1] * 64)[count:].any()

@@ -75,7 +75,7 @@ def test_every_private_function_is_referenced():
 
 
 # modules whose every check raises an exception rather than asserting
-ASSERT_FREE = ["analysis.py", "orbits.py", "patterns.py"]
+ASSERT_FREE = ["analysis.py", "geometry.py", "orbits.py", "patterns.py", "repeatcover.py"]
 
 
 @pytest.mark.parametrize("name", ASSERT_FREE)
