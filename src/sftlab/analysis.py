@@ -2,14 +2,19 @@
 exact allowed-pattern counting, periodic-boundary pattern counting (exact or
 Monte Carlo), entropy bounds, and allowed-orbit presence.
 
-Dimension 1 is decided exactly on the window-overlap digraph.  For d >= 2 the
-decision is a semi-decision: an exact existence search over growing cube sides
-(failure certifies emptiness) interleaved with a periodic-torus search over
-growing shapes (success certifies nonemptiness via a finite orbit); both may
-exhaust their cutoffs, leaving an honest Unknown.  `decide_empty_batch` runs
-this stage schedule once for many trials in trial lanes: 64 trials packed into
-one uint64 word (`ensemble.pack_lanes`), bit r being trial r, so that one
-(or, and) pass answers 64 trials; `decide_empty` is its batch of one.
+Dimension 1 is decided exactly on the window-overlap digraph, a batch at a
+time: one pruning of every row, a longest-path peel for an empty row's
+certificate k, a shortest cycle for a nonempty one.  Every certificate orbit,
+a d = 1 cycle or a d >= 2 torus config, is built and checked against its
+allowed set in `_torus_orbits`.  For d >= 2 the decision is a semi-decision:
+an exact existence search over growing cube sides (failure certifies
+emptiness) interleaved with a periodic-torus search over growing shapes
+(success certifies nonemptiness via a finite orbit); both may exhaust their
+cutoffs, leaving an honest Unknown.  `decide_empty_batch` runs this stage
+schedule once for many trials in trial lanes: 64 trials packed into one uint64
+word (`ensemble.pack_lanes`), bit r being trial r, so that one (or, and) pass
+answers 64 trials; `decide_empty` and `decide_empty_1d` are its batches of
+one.
 
 Existence, pattern counts and periodic fill-in counts all run one recursion,
 `_frontier_weights`: it walks the side-k cube cell by cell in row-major order,
@@ -33,7 +38,8 @@ at most 2^FRONTIER_BUDGET_BITS entries, or 2^COUNT_STATE_BUDGET_BITS with
 exact ints, and a walk from every state takes at most 2^(22 - 18) = 16 passes.
 A shape with at most TORUS_DIRECT_BUDGET configs is searched directly instead,
 by ANDing the trial lanes over the cached `_torus_table` of every config's
-window codes, the cache that also holds the slab transfer's block tables.
+window codes, the cache that also holds the slab transfer's block tables;
+`_torus_hits` makes that choice for every torus search.
 """
 
 import math
@@ -73,7 +79,7 @@ class EmptinessVerdict:
 @dataclass
 class EntropyEstimate:
     k: int
-    pattern_count: int | float        # allowed side-k patterns
+    pattern_count: int                # allowed side-k patterns, exact
     h_upper: float                    # log(pattern_count) / k^d, -inf at zero
     periodic_count: float             # allowed periodic-boundary patterns
     periodic_count_stderr: float
@@ -85,6 +91,15 @@ class EntropyEstimate:
 # ---------------------------------------------------------------------------
 # d = 1: window-overlap digraph
 
+def _has_successor(alive: np.ndarray, alphabet: int) -> np.ndarray:
+    """Per window of the boolean rows (trials, window codes), whether a window
+    of the same row extends it by one symbol (overlap n-1 to the right)."""
+    w = alive.shape[1]
+    s = w // alphabet
+    by_prefix = alive.reshape(len(alive), s, alphabet).any(axis=2)  # some window starts with x
+    return by_prefix[:, np.arange(w) % s]
+
+
 def prune_rows(bits: np.ndarray, n: int, alphabet: int) -> np.ndarray:
     """Batch fixpoint pruning: rows are trials, columns window codes.  A window
     survives while it has a surviving successor (overlap n-1 to the right) and
@@ -92,20 +107,29 @@ def prune_rows(bits: np.ndarray, n: int, alphabet: int) -> np.ndarray:
     alive = np.array(bits, dtype=bool, copy=True)
     w = alive.shape[1]
     s = w // alphabet
-    suffix_idx = np.arange(w) % s
     prefix_idx = np.arange(w) // alphabet
     while True:
-        by_prefix = alive.reshape(-1, s, alphabet).any(axis=2)   # some window starts with x
         by_suffix = alive.reshape(-1, alphabet, s).any(axis=1)   # some window ends with x
-        nxt = alive & by_prefix[:, suffix_idx] & by_suffix[:, prefix_idx]
+        nxt = alive & _has_successor(alive, alphabet) & by_suffix[:, prefix_idx]
         if np.array_equal(nxt, alive):
             return nxt
         alive = nxt
 
 
-def _out_neighbors(code: int, s: int, alphabet: int):
-    base = (code % s) * alphabet
-    return [base + a for a in range(alphabet)]
+def _peel_rounds(bits: np.ndarray, alphabet: int) -> np.ndarray:
+    """Per row of an acyclic window graph, the rounds that peeling the windows
+    without a surviving successor takes to empty it: a longest path of e edges
+    lasts e + 1 rounds, a row with no window 0.  Anything alive after W + 1
+    rounds lies on a cycle."""
+    alive = np.array(bits, dtype=bool, copy=True)
+    rounds = np.zeros(len(alive), dtype=np.int64)
+    for _ in range(alive.shape[1] + 1):
+        live = alive.any(axis=1)
+        if not live.any():
+            return rounds
+        rounds += live
+        alive &= _has_successor(alive, alphabet)
+    raise CertificateError("pruned-empty window graph has a cycle")
 
 
 def shortest_allowed_cycle(alive: np.ndarray, n: int, alphabet: int):
@@ -127,7 +151,8 @@ def shortest_allowed_cycle(alive: np.ndarray, n: int, alphabet: int):
                 break
             nxt = []
             for u in frontier:
-                for t in _out_neighbors(u, s, alphabet):
+                base = (u % s) * alphabet
+                for t in range(base, base + alphabet):
                     if not alive[t]:
                         continue
                     if t == v0:
@@ -153,51 +178,12 @@ def shortest_allowed_cycle(alive: np.ndarray, n: int, alphabet: int):
     return best
 
 
-def _longest_path_edges(allowed: np.ndarray, alphabet: int) -> int:
-    """Longest path (edge count) in the acyclic allowed-window graph."""
-    w = len(allowed)
-    s = w // alphabet
-    verts = [v for v in range(w) if allowed[v]]
-    if not verts:
-        return -1
-    indeg = {v: 0 for v in verts}
-    for v in verts:
-        for t in _out_neighbors(v, s, alphabet):
-            if t in indeg:
-                indeg[t] += 1
-    stack = [v for v in verts if indeg[v] == 0]
-    dist = {v: 0 for v in verts}
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for t in _out_neighbors(v, s, alphabet):
-            if t in indeg:
-                dist[t] = max(dist[t], dist[v] + 1)
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    stack.append(t)
-    if seen != len(verts):
-        raise CertificateError("pruned-empty window graph has a cycle")
-    return max(dist.values())
-
-
 def decide_empty_1d(omega: AllowedSet) -> EmptinessVerdict:
-    """Exact decision for d = 1 with a checkable certificate either way."""
+    """Exact decision for d = 1 with a checkable certificate either way: the
+    batch of one of decide_empty_batch."""
     if omega.d != 1:
         raise DomainError("decide_empty_1d requires d = 1")
-    alive = prune_rows(omega.bits[None, :], omega.n, omega.alphabet)[0]
-    if alive.any():
-        word = shortest_allowed_cycle(alive, omega.n, omega.alphabet)
-        orbit = orbit_from_config(((len(word),),), word, omega.alphabet)
-        if not orbit_allowed(omega, orbit):
-            raise CertificateError(f"cycle {word} shows a forbidden window")
-        return EmptinessVerdict("nonempty", certificate_orbit=orbit,
-                                effort={"cycle_length": len(word)})
-    edges = _longest_path_edges(omega.bits, omega.alphabet)
-    k_cert = omega.n if edges < 0 else omega.n + edges + 1
-    return EmptinessVerdict("empty", certificate_k=k_cert,
-                            effort={"longest_path_edges": edges})
+    return decide_empty_batch([omega], 0, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +324,6 @@ def _torus_direct_lanes(lanes: np.ndarray, count: int, shape, n: int, alphabet: 
     return hits.any(axis=1), (first // digits % alphabet).astype(np.uint8)
 
 
-def _torus_direct(omega: AllowedSet, shape):
-    """Lex-least allowed config on the wraparound shape (flat symbols) by the
-    direct search, or None."""
-    found, cfgs = _torus_direct_lanes(pack_lanes(omega.bits[None, :]), 1, shape,
-                                      omega.n, omega.alphabet)
-    return tuple(cfgs[0].tolist()) if found[0] else None
-
-
 def _walk_budget(dtype) -> int:
     return 1 << (COUNT_STATE_BUDGET_BITS if dtype is object else FRONTIER_BUDGET_BITS)
 
@@ -417,11 +395,23 @@ def _torus_transfer(omega: AllowedSet, shape):
     return tuple(v // A ** (vol - 1 - c) % A for v in slabs[:b] for c in range(vol))
 
 
+def _torus_hits(omegas, lanes: np.ndarray, shape):
+    """Lex-least allowed config on the wraparound shape for each allowed set,
+    given their (windows, G) trial lanes: (found, configs) as from
+    _torus_direct_lanes.  A shape with at most TORUS_DIRECT_BUDGET configs is
+    searched directly in the lanes, a larger one by the slab transfer per set."""
+    n, A, vol = omegas[0].n, omegas[0].alphabet, math.prod(shape)
+    if A ** vol <= TORUS_DIRECT_BUDGET:
+        return _torus_direct_lanes(lanes, len(omegas), shape, n, A)
+    hits = [_torus_transfer(o, shape) for o in omegas]
+    return (np.array([c is not None for c in hits]),
+            np.array([c or (0,) * vol for c in hits], dtype=np.uint8))
+
+
 def torus_config(omega: AllowedSet, shape):
     """An allowed wraparound config on the shape (flat, lex order) or None."""
-    if omega.alphabet ** math.prod(shape) <= TORUS_DIRECT_BUDGET:
-        return _torus_direct(omega, shape)
-    return _torus_transfer(omega, shape)
+    found, cfgs = _torus_hits([omega], pack_lanes(omega.bits[None, :]), shape)
+    return tuple(cfgs[0].tolist()) if found[0] else None
 
 
 def _torus_orbits(omegas, shape, cfgs: np.ndarray):
@@ -453,22 +443,41 @@ def decide_empty_batch(omegas, k_max: int, torus_max: int) -> list:
     shape), so it is walked once for the whole batch: the trials still
     undecided are packed into lanes, each stage answers all of them, and the
     lanes are repacked once a stage decides some.  Every verdict, certificate
-    and effort dict is the one the trial gets alone.  d = 1 decides each set
-    exactly by decide_empty_1d."""
+    and effort dict is the one the trial gets alone.  d = 1 is decided
+    exactly, after one pruning of the whole batch, with the cutoffs unused."""
     omegas = list(omegas)
     if not omegas:
         return []
     d, n, A = omegas[0].d, omegas[0].n, omegas[0].alphabet
     if any((o.d, o.n, o.alphabet) != (d, n, A) for o in omegas):
         raise DomainError("a batch needs one (d, n, alphabet)")
+    bits = np.stack([o.bits for o in omegas])
+    out = [None] * len(omegas)
     if d == 1:
-        return [decide_empty_1d(o) for o in omegas]
+        # an empty row is certified by the longest path of its window graph,
+        # a nonempty one by the orbit of its shortest cycle: a config on the
+        # torus (p,), certified with the other rows of its cycle length p
+        alive = prune_rows(bits, n, A)
+        nonempty = alive.any(axis=1)
+        empty = np.flatnonzero(~nonempty)
+        for i, rounds in zip(empty, _peel_rounds(bits[empty], A).tolist()):
+            out[i] = EmptinessVerdict("empty", certificate_k=n + rounds,
+                                      effort={"longest_path_edges": rounds - 1})
+        by_length = {}
+        for i in np.flatnonzero(nonempty):
+            word = shortest_allowed_cycle(alive[i], n, A)
+            by_length.setdefault(len(word), []).append((i, word))
+        for p, hits in sorted(by_length.items()):
+            cfgs = np.array([word for _, word in hits], dtype=np.uint8)
+            orbits = _torus_orbits([omegas[i] for i, _ in hits], (p,), cfgs)
+            for (i, _), orbit in zip(hits, orbits):
+                out[i] = EmptinessVerdict("nonempty", certificate_orbit=orbit,
+                                          effort={"cycle_length": p})
+        return out
     shapes = sorted(
         product(*(range(1, torus_max + 1),) * d),
         key=lambda s: (max(s), math.prod(s), s),
     ) if torus_max >= 1 else []
-    bits = np.stack([o.bits for o in omegas])
-    out = [None] * len(omegas)
     live = np.arange(len(omegas))
     lanes = pack_lanes(bits)
 
@@ -506,12 +515,7 @@ def decide_empty_batch(omegas, k_max: int, torus_max: int) -> list:
             progress = True
             tori_tried += 1
             try:
-                if A ** math.prod(shape) <= TORUS_DIRECT_BUDGET:
-                    found, cfgs = _torus_direct_lanes(lanes, len(live), shape, n, A)
-                else:
-                    hits = [_torus_transfer(omegas[i], shape) for i in live]
-                    found = np.array([c is not None for c in hits])
-                    cfgs = np.array([c or (0,) * math.prod(shape) for c in hits], dtype=np.uint8)
+                found, cfgs = _torus_hits([omegas[i] for i in live], lanes, shape)
             except ResourceBudgetError:
                 torus_ceiling = max(shape) - 1
                 clipped.append(f"torus>{max(shape) - 1}")
@@ -659,9 +663,16 @@ def entropy_estimate(omega: AllowedSet, k: int,
                            h_per, pc.boundary_pool)
 
 
+def allowed_orbit_mask(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(rows, orbits) bool: whether every window of each orbit, a row of the
+    orbit window masks, is retained in each row of bits."""
+    hits = np.asarray(bits, dtype=np.float32) @ masks.T.astype(np.float32)
+    return hits == masks.sum(axis=1).astype(np.float32)
+
+
 def periodic_orbits_present(omega: AllowedSet, max_size: int):
     """All allowed orbits of size <= max_size: those whose windows are all
     retained, counted against the cached orbit window masks."""
     orbs, masks, _ = orbit_window_table(omega.alphabet, omega.d, omega.n, max_size)
-    hits = masks.astype(np.float32) @ omega.bits.astype(np.float32)
-    return [o for o, ok in zip(orbs, hits == masks.sum(axis=1)) if ok]
+    present = allowed_orbit_mask(omega.bits[None, :], masks)[0]
+    return [o for o, ok in zip(orbs, present) if ok]

@@ -191,7 +191,7 @@ def _cmd_entropy(args):
     est = analysis.entropy_estimate(omega, args.k, args.boundary_samples)
     payload = {
         "k": est.k,
-        "pattern_count": str(int(est.pattern_count)) if est.pattern_count == int(est.pattern_count) else repr(est.pattern_count),
+        "pattern_count": str(est.pattern_count),
         "h_upper": repr(est.h_upper),
         "periodic_count": repr(est.periodic_count),
         "periodic_count_stderr": repr(est.periodic_count_stderr),

@@ -127,19 +127,10 @@ class AllowedSet:
         return cls(d, n, alphabet, bits, seed, trial)
 
 
-def sample_uniform_words(params: EnsembleParams, trial: int) -> np.ndarray:
-    return stream_words(
-        params.seed, TAG_WINDOW_BITS,
-        (params.d, params.n, params.alphabet), trial, params.n_windows,
-    )
-
-
 def sample(params: EnsembleParams, trial: int) -> AllowedSet:
     """Retain each window independently with probability alpha; deterministic
-    in (seed, trial)."""
-    words = sample_uniform_words(params, trial)
-    thr = bernoulli_threshold(params.alpha)
-    bits = (words >> np.uint64(11)) < np.uint64(thr) if thr else np.zeros(len(words), bool)
+    in (seed, trial).  The batch of one of sample_bits_batch."""
+    bits = sample_bits_batch(params, [trial])[0]
     return AllowedSet(params.d, params.n, params.alphabet, bits, params.seed, trial)
 
 
@@ -148,8 +139,9 @@ def sample_bits_batch(params: EnsembleParams, trials) -> np.ndarray:
     thr = np.uint64(bernoulli_threshold(params.alpha))
     out = np.empty((len(trials), params.n_windows), dtype=bool)
     for i, t in enumerate(trials):
-        words = sample_uniform_words(params, t)
-        out[i] = (words >> np.uint64(11)) < thr if thr else False
+        words = stream_words(params.seed, TAG_WINDOW_BITS,
+                             (params.d, params.n, params.alphabet), t, params.n_windows)
+        out[i] = (words >> np.uint64(11)) < thr
     return out
 
 

@@ -139,23 +139,21 @@ def _verdicts_for(params: EnsembleParams, lo: int, k_max: int, torus_max: int,
                   bits, certify=False):
     """Verdict codes of trials lo, lo+1, ..., one per row of bits (row i is
     sample(params, lo + i)), and per trial whether a nonempty verdict carries
-    a finite orbit.  d = 1 verdicts come from pruning, and the orbit, a
-    shortest cycle of the pruned graph, is extracted only for the rows marked
-    in certify (a bool or a row mask); d >= 2 verdicts come from one
-    decide_empty_batch over the chunk, with their torus orbits."""
+    a finite orbit.  d = 1 verdicts come from pruning, and only the nonempty
+    rows marked in certify (a bool or a row mask) go on to decide_empty_batch
+    for their orbit; for d >= 2 every row does."""
     certified = np.ones(len(bits), dtype=bool)
-    if params.d == 1:
-        alive = analysis.prune_rows(bits, params.n, params.alphabet)
-        nonempty = alive.any(axis=1)
-        for i in np.nonzero(nonempty & certify)[0]:
-            word = analysis.shortest_allowed_cycle(alive[i], params.n, params.alphabet)
-            certified[i] = word is not None
-        return np.where(nonempty, VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8), certified
     codes = {"empty": VERDICT_EMPTY, "nonempty": VERDICT_NONEMPTY, "unknown": VERDICT_UNKNOWN}
-    out = np.empty(len(bits), dtype=np.uint8)
-    omegas = [analysis.AllowedSet(params.d, params.n, params.alphabet, row, params.seed, lo + i)
-              for i, row in enumerate(bits)]
-    for i, v in enumerate(analysis.decide_empty_batch(omegas, k_max, torus_max)):
+    if params.d == 1:
+        nonempty = analysis.prune_rows(bits, params.n, params.alphabet).any(axis=1)
+        out = np.where(nonempty, VERDICT_NONEMPTY, VERDICT_EMPTY).astype(np.uint8)
+        rows = np.flatnonzero(nonempty & certify).tolist()
+    else:
+        out = np.empty(len(bits), dtype=np.uint8)
+        rows = range(len(bits))
+    omegas = [analysis.AllowedSet(params.d, params.n, params.alphabet, bits[i], params.seed,
+                                  lo + i) for i in rows]
+    for i, v in zip(rows, analysis.decide_empty_batch(omegas, k_max, torus_max)):
         out[i] = codes[v.verdict]
         certified[i] = v.verdict != "nonempty" or v.certificate_orbit is not None
     return out, certified
@@ -172,10 +170,8 @@ def _orbit_chunk(args):
     (alphabet, d, n, alpha, seed, lo, hi, k_max, torus_max, orbit_max) = args
     params = EnsembleParams(alphabet, d, n, alpha, seed)
     _, masks, _ = orbit_window_table(alphabet, d, n, orbit_max)
-    win_counts = masks.sum(axis=1).astype(np.float32)
     bits = sample_bits_batch(params, range(lo, hi))
-    hits = bits.astype(np.float32) @ masks.T.astype(np.float32)
-    any_small = (hits == win_counts[None, :]).any(axis=1)
+    any_small = analysis.allowed_orbit_mask(bits, masks).any(axis=1)
     # small-orbit trials are certified by the orbit found here
     verdicts, has_cert = _verdicts_for(params, lo, k_max, torus_max, bits, ~any_small)
     nonempty_no_small = (verdicts == VERDICT_NONEMPTY) & ~any_small
@@ -273,12 +269,8 @@ def run_entropy_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "h_per_median": float(np.median(h_per[nonzero])) if nonzero.any() else math.nan,
         }
         for eps in cfg.epsilons:
-            if target > 0:
-                dev_upper = np.where(nonzero, np.abs(h_upper - target) >= eps, True)
-                below_per = np.where(periodic_counts > 0, h_per < target - eps, True)
-            else:
-                dev_upper = np.where(nonzero, np.abs(h_upper - target) >= eps, False)
-                below_per = np.where(periodic_counts > 0, h_per < target - eps, False)
+            dev_upper = np.where(nonzero, np.abs(h_upper - target) >= eps, target > 0)
+            below_per = np.where(periodic_counts > 0, h_per < target - eps, target > 0)
             row[f"frac_h_upper_dev_{eps:g}"] = float(dev_upper.mean())
             row[f"frac_h_per_below_{eps:g}"] = float(below_per.mean())
         rows.append(row)

@@ -68,6 +68,100 @@ def test_decide_empty_1d_examples():
     assert v.is_nonempty and v.certificate_orbit.size == 2
 
 
+def kahn_longest_path_edges(allowed, alphabet):
+    """Longest path (edge count) in the acyclic allowed-window graph by Kahn's
+    walk; -1 with no window."""
+    s = len(allowed) // alphabet
+    verts = [v for v in range(len(allowed)) if allowed[v]]
+    if not verts:
+        return -1
+
+    def succ(v):
+        return [(v % s) * alphabet + a for a in range(alphabet)]
+
+    indeg = {v: 0 for v in verts}
+    for v in verts:
+        for t in succ(v):
+            if t in indeg:
+                indeg[t] += 1
+    stack = [v for v in verts if indeg[v] == 0]
+    dist = {v: 0 for v in verts}
+    seen = 0
+    while stack:
+        v = stack.pop()
+        seen += 1
+        for t in succ(v):
+            if t in indeg:
+                dist[t] = max(dist[t], dist[v] + 1)
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    stack.append(t)
+    if seen != len(verts):
+        raise CertificateError("pruned-empty window graph has a cycle")
+    return max(dist.values())
+
+
+def oracle_decide_empty_1d(omega):
+    """The one-trial d = 1 decision: Kahn's walk for an empty row's
+    certificate, orbit_from_config of the shortest cycle for a nonempty one."""
+    alive = A.prune_rows(omega.bits[None, :], omega.n, omega.alphabet)[0]
+    if alive.any():
+        word = A.shortest_allowed_cycle(alive, omega.n, omega.alphabet)
+        orbit = orbit_from_config(((len(word),),), word, omega.alphabet)
+        assert orbit_allowed(omega, orbit)
+        return A.EmptinessVerdict("nonempty", certificate_orbit=orbit,
+                                  effort={"cycle_length": len(word)})
+    edges = kahn_longest_path_edges(omega.bits, omega.alphabet)
+    k_cert = omega.n if edges < 0 else omega.n + edges + 1
+    return A.EmptinessVerdict("empty", certificate_k=k_cert,
+                              effort={"longest_path_edges": edges})
+
+
+@pytest.mark.parametrize("trials", [0, 1, 63, 65, 300])
+@pytest.mark.parametrize("n, alphabet, alpha", [(2, 2, 0.5), (3, 3, 0.15), (4, 2, 0.45),
+                                                (8, 2, 0.4)])
+def test_decide_empty_batch_1d_matches_one_trial_oracle(trials, n, alphabet, alpha):
+    omegas = [sample(EnsembleParams(alphabet, 1, n, alpha, 17), t) for t in range(trials)]
+    got = A.decide_empty_batch(omegas, 0, 0)
+    assert len(got) == trials
+    for omega, v in zip(omegas, got):
+        assert _summary(v) == _summary(oracle_decide_empty_1d(omega))
+        assert _summary(A.decide_empty_1d(omega)) == _summary(v)
+        assert v.certificate_k is None or type(v.certificate_k) is int
+        assert all(type(x) is int for x in v.effort.values())
+    if trials >= 63:
+        assert {v.verdict for v in got} == {"empty", "nonempty"}
+
+
+def _prune_empty_rows(rows, n, alphabet):
+    """Clear the least surviving window of each row until pruning leaves none."""
+    rows = rows.copy()
+    while True:
+        alive = A.prune_rows(rows, n, alphabet)
+        live = alive.any(axis=1)
+        if not live.any():
+            return rows
+        rows[np.flatnonzero(live), alive[live].argmax(axis=1)] = False
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data(), st.sampled_from([(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)]))
+def test_peel_matches_kahn_on_prune_empty_rows(data, n_alphabet):
+    n, alphabet = n_alphabet
+    w = alphabet ** n
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                              min_size=1, max_size=20))
+    rows = _prune_empty_rows(np.array(rows, dtype=bool), n, alphabet)
+    rounds = A._peel_rounds(rows, alphabet)
+    assert [r - 1 for r in rounds.tolist()] == [kahn_longest_path_edges(r, alphabet)
+                                                for r in rows]
+
+
+def test_peel_refuses_a_cycle():
+    with pytest.raises(CertificateError):
+        A._peel_rounds(np.ones((3, 4), dtype=bool), 2)
+
+
 def test_decide_empty_1d_requires_d1():
     with pytest.raises(DomainError):
         A.decide_empty_1d(AllowedSet(2, 2, 2, np.ones(16, bool)))
@@ -295,6 +389,15 @@ def test_forged_certificate_raises(monkeypatch):
         A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool)))
 
 
+def test_forged_cycle_in_a_1d_batch_raises(monkeypatch):
+    # one forged row among five d = 1 rows with the same cycle length is refused
+    full = [AllowedSet(1, 2, 2, np.ones(4, bool), trial=t) for t in range(5)]
+    monkeypatch.setattr(A, "orbit_allowed", lambda omega, orbit: omega.trial != 2)
+    with pytest.raises(CertificateError):
+        A.decide_empty_batch(full, 0, 0)
+    assert all(v.is_nonempty for v in A.decide_empty_batch(full[:2] + full[3:], 0, 0))
+
+
 def test_forged_certificate_in_a_batch_raises(monkeypatch):
     # one forged row among five certified at the same shape is refused
     full = [AllowedSet(2, 2, 2, np.ones(16, bool), trial=t) for t in range(5)]
@@ -315,7 +418,9 @@ def test_forged_certificate_raises_under_python_O():
         "print(__debug__)",
         "for call in (lambda: A.decide_empty(full[2], 4, 2),",
         "             lambda: A.decide_empty_batch(full, 4, 2),",
-        "             lambda: A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool), trial=2))):",
+        "             lambda: A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool), trial=2)),",
+        "             lambda: A.decide_empty_batch(",
+        "                 [AllowedSet(1, 2, 2, np.ones(4, bool), trial=t) for t in range(5)], 0, 0)):",
         "    try:",
         "        call()",
         "    except CertificateError:",
@@ -325,7 +430,7 @@ def test_forged_certificate_raises_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "raised", "raised", "raised"]
+    assert out.split() == ["False", "raised", "raised", "raised", "raised"]
 
 
 def test_decide_empty_d2_verdicts_sound():
@@ -352,13 +457,20 @@ def test_decide_empty_unknown_when_cutoffs_tiny():
     assert v.verdict == "unknown"
 
 
+def torus_direct(omega, shape):
+    """The direct torus search on a batch of one."""
+    found, cfgs = A._torus_direct_lanes(pack_lanes(omega.bits[None, :]), 1, shape,
+                                        omega.n, omega.alphabet)
+    return tuple(cfgs[0].tolist()) if found[0] else None
+
+
 def test_torus_transfer_matches_direct():
     rng = np.random.default_rng(11)
     for _ in range(30):
         bits = rng.random(16) < rng.random()
         omega = AllowedSet(2, 2, 2, bits)
         for shape in ((2, 2), (2, 3), (3, 2), (3, 3)):
-            assert A._torus_direct(omega, shape) == A._torus_transfer(omega, shape)
+            assert torus_direct(omega, shape) == A._torus_transfer(omega, shape)
 
 
 def test_decide_empty_budget_clips_to_unknown():
@@ -691,7 +803,7 @@ def test_torus_direct_is_first_hit_of_brute_force():
         for _ in range(3):
             bits = rng.random(alphabet ** (n ** d)) < rng.uniform(0.3, 0.95)
             omega = AllowedSet(d, n, alphabet, bits)
-            got = A._torus_direct(omega, shape)
+            got = torus_direct(omega, shape)
             assert got == torus_brute_search(bits, shape, n, alphabet), (d, n, alphabet, shape)
             hits += got is not None
             misses += got is None
@@ -704,7 +816,7 @@ def test_torus_transfer_d3_matches_direct():
         bits = rng.random(256) < rng.uniform(0.5, 0.95)
         omega = AllowedSet(3, 2, 2, bits)
         for shape in ((1, 2, 2), (2, 1, 3), (2, 2, 2), (3, 2, 2)):
-            assert A._torus_transfer(omega, shape) == A._torus_direct(omega, shape)
+            assert A._torus_transfer(omega, shape) == torus_direct(omega, shape)
 
 
 def test_torus_transfer_n1_skips_a_forbidden_symbol():

@@ -284,3 +284,13 @@ def test_entropy_exact_d2_n3_k6(tmp_path, capsys):
     est = json.loads(capsys.readouterr().out)
     assert est["periodic_count_exact"] is True
     assert float(est["periodic_count"]) <= int(est["pattern_count"])
+
+
+def test_entropy_pattern_count_is_exact_past_2_53(tmp_path, capsys):
+    # the all-allowed d=1, n=2 draw has 2^60 side-60 patterns, printed exactly
+    from sftlab.ensemble import AllowedSet
+    omega_path = tmp_path / "full.bin"
+    AllowedSet(1, 2, 2, np.ones(4, bool)).save(omega_path)
+    assert main(["entropy", "--omega-in", str(omega_path), "--k", "60"]) == 0
+    est = json.loads(capsys.readouterr().out)
+    assert est["pattern_count"] == "1152921504606846976"

@@ -190,3 +190,39 @@ def test_orbit_experiment_worker_invariance(tmp_path):
     X.run_orbit_experiment(cfg).write_csv(a)
     X.run_orbit_experiment(dataclasses.replace(cfg, workers=3)).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_orbit_experiment_1d_certificates_are_checked(monkeypatch):
+    # d = 1 rows with no small orbit are certified by decide_empty_batch,
+    # whose orbits are checked against the draw: a forged check is refused
+    from sftlab import analysis
+    from sftlab.errors import CertificateError
+    cfg = X.ExperimentConfig(d=1, alphabet=2, n=3, alphas=(0.5,), trials=200,
+                             seed=41, orbit_max=1)
+    row = X.run_orbit_experiment(cfg).rows[0]
+    assert row["nonempty_no_small"] > 0 and row["gn_candidates"] == 0
+    monkeypatch.setattr(analysis, "orbit_allowed", lambda omega, orbit: False)
+    with pytest.raises(CertificateError):
+        X.run_orbit_experiment(cfg)
+
+
+def test_verdicts_for_1d_certifies_only_marked_nonempty_rows(monkeypatch):
+    from sftlab import analysis
+    from sftlab.ensemble import EnsembleParams, sample_bits_batch
+    params = EnsembleParams(2, 1, 3, 0.4, 5)
+    bits = sample_bits_batch(params, range(100))
+    decided = []
+    real = analysis.decide_empty_batch
+
+    def spy(omegas, k_max, torus_max):
+        decided.extend(o.trial for o in omegas)
+        return real(omegas, k_max, torus_max)
+
+    monkeypatch.setattr(analysis, "decide_empty_batch", spy)
+    verdicts, certified = X._verdicts_for(params, 10, 0, 0, bits)
+    assert decided == [] and certified.all()
+    mark = np.arange(100) % 2 == 0
+    verdicts2, certified = X._verdicts_for(params, 10, 0, 0, bits, mark)
+    assert verdicts2.tolist() == verdicts.tolist() and certified.all()
+    nonempty = verdicts == X.VERDICT_NONEMPTY
+    assert decided == [10 + i for i in np.flatnonzero(nonempty & mark)]

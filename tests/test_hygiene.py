@@ -1,16 +1,19 @@
 """Source hygiene: no module defines the same top-level name twice (a later
 definition silently shadows the earlier one), no module other than the
 package's __init__ imports a name it never uses, every private top-level
-function has a caller in the package, and the modules whose checks must
-survive `python -O` contain no assert."""
+function has a caller in the package, the modules whose checks must
+survive `python -O` contain no assert, and every name the bench tracer
+patches still exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sftlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sftlab"
 
 
 def _top_level_names(tree):
@@ -84,3 +87,41 @@ def test_no_assert_in_checked_modules(name):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{name} asserts at lines {lines}; raise an SftlabError instead"
+
+
+def _patched_names(tree):
+    """(module, attr) of every `tr.patch(module, attr, ...)` call; an attr
+    bound by a `for` loop over a tuple of strings yields each of them."""
+    loops = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            for inner in ast.walk(node):
+                loops[id(inner)] = (node.target.id, [e.value for e in node.iter.elts])
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "tr"):
+            continue
+        module, attr = node.args[0].id, node.args[1]
+        if isinstance(attr, ast.Constant):
+            yield module, attr.value
+        else:
+            var, values = loops[id(node)]
+            assert attr.id == var
+            for value in values:
+                yield module, value
+
+
+def test_every_traced_name_exists():
+    """bench/trace_cli.py patches functions by name; one that is gone would
+    make every traced bench run fail.  The file is parsed, not imported."""
+    path = ROOT / "bench" / "trace_cli.py"
+    names = sorted(set(_patched_names(ast.parse(path.read_text(encoding="utf-8")))))
+    attrs = {attr for _, attr in names}
+    assert {"decide_empty", "pattern_exists", "torus_config", "prune_rows",
+            "shortest_allowed_cycle", "count_patterns_1d_fast", "sample",
+            "sample_bits_batch", "_orbit_chunk"} <= attrs
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"sftlab.{module}"), attr)]
+    assert not missing, f"bench/trace_cli.py patches names that are gone: {missing}"
