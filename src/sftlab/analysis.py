@@ -94,10 +94,9 @@ class EntropyEstimate:
 def _has_successor(alive: np.ndarray, alphabet: int) -> np.ndarray:
     """Per window of the boolean rows (trials, window codes), whether a window
     of the same row extends it by one symbol (overlap n-1 to the right)."""
-    w = alive.shape[1]
-    s = w // alphabet
+    s = alive.shape[1] // alphabet
     by_prefix = alive.reshape(len(alive), s, alphabet).any(axis=2)  # some window starts with x
-    return by_prefix[:, np.arange(w) % s]
+    return np.tile(by_prefix, alphabet)  # window c's successors start with its suffix c % s
 
 
 def prune_rows(bits: np.ndarray, n: int, alphabet: int) -> np.ndarray:
