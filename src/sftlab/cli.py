@@ -64,7 +64,7 @@ def _emit_json(payload, path=None):
         sys.stdout.write(text + "\n")
 
 
-def _parse_alphas(text):
+def _float_list(text):
     return tuple(float(x) for x in text.split(","))
 
 
@@ -132,7 +132,7 @@ def build_parser():
         q = kinds.add_parser(kind)
         _add_common(q)
         q.add_argument("--n", type=int, required=True)
-        q.add_argument("--alpha", type=_parse_alphas, required=True,
+        q.add_argument("--alpha", type=_float_list, required=True,
                        help="comma-separated list")
         q.add_argument("--trials", type=int, required=True)
         q.add_argument("--seed", type=int, required=True)
@@ -143,7 +143,8 @@ def build_parser():
         q.add_argument("--boundary-samples", type=int, default=256)
         q.add_argument("--zeta-jmax", type=int, default=0)
         q.add_argument("--workers", type=int, default=1)
-        q.add_argument("--epsilons", default="0.05,0.1,0.2")
+        q.add_argument("--epsilons", type=_float_list, default="0.05,0.1,0.2",
+                       help="comma-separated list")
         q.add_argument("--out-csv")
         q.add_argument("--out-json")
         q.add_argument("--check-max-unknown", type=float)
@@ -247,7 +248,7 @@ def _cmd_experiment(args):
         trials=args.trials, seed=args.seed, k=args.k, k_max=args.kmax,
         torus_max=args.torus_max, orbit_max=args.orbit_max,
         boundary_samples=args.boundary_samples, zeta_j_max=args.zeta_jmax,
-        epsilons=tuple(float(x) for x in str(args.epsilons).split(",")),
+        epsilons=args.epsilons,
         workers=args.workers,
     )
     result = experiments.RUNNERS[args.kind](cfg)

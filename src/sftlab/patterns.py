@@ -188,17 +188,10 @@ def cube_window_codes(arr: np.ndarray, n: int, alphabet: int):
 
 def windows(u: Pattern, n: int) -> frozenset:
     """Set of side-n window codes appearing in u."""
-    if u.is_cube():
-        if u.shape.side < n:
-            raise DomainError("no side-n cube fits in the pattern")
-        return frozenset(cube_window_codes(u.as_array(), n, u.alphabet).tolist())
-    cubes = cubes_in(u.shape, n)
-    if not cubes:
+    codes = frozenset(code for _, code in window_positions(u, n))
+    if not codes:
         raise DomainError("no side-n cube fits in the pattern")
-    out = set()
-    for c in cubes:
-        out.add(encode_window(u.restrict(c).symbols, u.alphabet))
-    return frozenset(out)
+    return codes
 
 
 def window_positions(u: Pattern, n: int):
@@ -284,15 +277,28 @@ def save_text(path, u: Pattern) -> None:
                 f.write("\n")
 
 
+def _ints(tokens, what):
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise DomainError(f"pattern {what} holds a token that is not an integer") from None
+
+
 def load_text(path) -> Pattern:
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 3:
             raise DomainError("bad pattern header, expected 'd side alphabet'")
-        d, k, alphabet = (int(x) for x in header)
-        vals = [int(tok) for line in f for tok in line.split()]
+        d, k, alphabet = _ints(header, "header")
+        vals = _ints((tok for line in f for tok in line.split()), "symbols")
+    if k < 1 or alphabet > 256:
+        raise DomainError(f"need side >= 1 and alphabet <= 256 (uint8 symbols), "
+                          f"got side {k}, alphabet {alphabet}")
     if len(vals) != k ** d:
         raise DomainError(f"expected {k**d} symbols, got {len(vals)}")
+    bad = [v for v in vals if not 0 <= v < alphabet]
+    if bad:
+        raise DomainError(f"symbol {bad[0]} outside [0, {alphabet})")
     return Pattern.from_array(np.asarray(vals, dtype=np.uint8).reshape((k,) * d), alphabet)
 
 

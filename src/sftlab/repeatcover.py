@@ -9,6 +9,10 @@ is the lexicographically least cube carrying that content.  A set J of repeats
 covers a pattern when every repeat's second cube lies inside area(J), the
 union of the second cubes; the uncovered part then determines the pattern.
 
+Both covers select second anchors only (each anchor has one repeat) and share
+one finishing step: lex-least repeats over any uncovered repeat area, a sort by
+(s2, s1), and a check that the area is the full repeat area.
+
 Areas, regions and anchor sets are boolean grids over integer boxes: a cover's
 area is painted cube by cube, and "the lex-least cube containing p" is the
 first set cell of the anchor grid inside the box of anchors whose cube
@@ -241,12 +245,10 @@ def cover_near_face(k: int, n: int, face: Face, cubes, radius=None):
     selected = []
     for key in sorted(by_line):
         segs = by_line[key]
-        kept = reduce_interval_cover([(lo, hi) for lo, hi, _ in segs])
-        kept_set = set(kept)
-        used = set()
+        kept = set(reduce_interval_cover([(lo, hi) for lo, hi, _ in segs]))
         for lo, hi, c in sorted(segs, key=lambda t: (t[0], t[2].origin)):
-            if (lo, hi) in kept_set and (lo, hi) not in used:
-                used.add((lo, hi))
+            if (lo, hi) in kept:
+                kept.discard((lo, hi))
                 selected.append(c)
     # same union inside the region
     box = (start, stop)
@@ -382,10 +384,10 @@ class CoverReport:
     bound_terms: tuple          # (near-skeleton, necessary-points, interior)
     bound_total: float
     patched: int                # repeats added by the residual sweep
-    size: int = 0
 
-    def __post_init__(self):
-        self.size = len(self.cover.repeats)
+    @property
+    def size(self):
+        return len(self.cover.repeats)
 
 
 def _repeat_index(u: pt.Pattern, n: int):
@@ -393,19 +395,24 @@ def _repeat_index(u: pt.Pattern, n: int):
     return _index(find_repeats(u, n), n, _box(u.shape))
 
 
-def _patch_residual(repeats, n, index):
-    """Add lex-least repeats covering any repeat area missed by the selection;
-    returns (patched list, number added)."""
+def _finish(chosen, n, index, host: Cube):
+    """The cover from a set of selected second anchors plus the lex-least
+    repeat over each point of repeat area still uncovered (a lex-order sweep,
+    so selection order cannot change the result), sorted by (s2, s1).
+    Returns (cover, number added); raises unless the area is the full one."""
     by_anchor, occ, target = index
-    have = _paint([r.s2 for r in repeats], n, ((0,) * target.ndim, target.shape))
-    out = list(repeats)
+    chosen = set(chosen)
+    selected = len(chosen)
+    have = _paint(chosen, n, _box(host))
     for p in map(tuple, np.argwhere(target & ~have).tolist()):  # lex order
-        if have[p]:
-            continue
-        s2 = _containing(occ, p, n)
-        out.append(by_anchor[s2])
-        have[tuple(slice(x, x + n) for x in s2)] = True
-    return out, len(out) - len(repeats)
+        if not have[p]:
+            s2 = _containing(occ, p, n)
+            chosen.add(s2)
+            have[tuple(slice(x, x + n) for x in s2)] = True
+    cover = RepeatCover([by_anchor[s2] for s2 in sorted(chosen)], n, host)
+    if not np.array_equal(cover.area_grid(), target):
+        raise CertificateError("covered area must match the full repeat area")
+    return cover, len(chosen) - selected
 
 
 def efficient_cover(u: pt.Pattern, n: int, r: int, ell: int) -> CoverReport:
@@ -428,46 +435,27 @@ def efficient_cover(u: pt.Pattern, n: int, r: int, ell: int) -> CoverReport:
     by_anchor, occ, area_all = index
     rep_cubes = [Cube(a, n) for a in by_anchor]
 
-    selected = []
+    chosen = set()  # second anchors of the selected repeats
     # region 1: near each ell-face, radius r
     for face in faces_of_dim(k, d, ell):
         kept, _ = cover_near_face(k, n, face, rep_cubes, radius=r)
-        selected.extend(by_anchor[c.origin] for c in kept)
-    # region 2: necessary points in the band
-    have_cubes = {rep.s2 for rep in selected}
+        chosen.update(c.origin for c in kept)
+    # region 2: necessary points in the band (all inside the repeat area)
     for p in necessary_points(PointSet.from_grid(area_all, (0,) * d), k, n, ell, r):
-        s2 = _containing(occ, p, n)
-        if s2 is not None and s2 not in have_cubes:
-            have_cubes.add(s2)
-            selected.append(by_anchor[s2])
+        chosen.add(_containing(occ, p, n))
     # region 3: interiors of faces of dimension > ell
     for d0 in range(ell + 1, d + 1):
         for face in faces_of_dim(k, d, d0):
-            # coordinates of the face as a d0-cube
             free = [i for i in range(d) if i not in face.restricted]
-            anchored = {i: face.anchor_of(i) for i in face.restricted}
-            in_face_cubes = []
-            for c in rep_cubes:
-                # slice of the cube lying in the face, as a d0-cube
-                if all(c.origin[i] <= anchored[i] <= c.origin[i] + n - 1
-                       for i in face.restricted):
-                    in_face_cubes.append(
-                        (Cube(tuple(c.origin[i] for i in free), n), c))
+            # each slice (a d0-cube) of a repeat cube meeting the face -> least anchor
+            lift = {}
+            for a in by_anchor:  # lex order of s2
+                if all(a[i] <= face.anchor_of(i) <= a[i] + n - 1 for i in face.restricted):
+                    lift.setdefault(tuple(a[i] for i in free), a)
             # density premise needs j < n^{d0}/3^d; guaranteed for d0 > ell
-            kept = cover_interior(k, d0, n, [fc for fc, _ in in_face_cubes])
-            kept_keys = {c.origin for c in kept}
-            for fc, c in in_face_cubes:
-                if fc.origin in kept_keys:
-                    kept_keys.discard(fc.origin)
-                    if c.origin not in have_cubes:
-                        have_cubes.add(c.origin)
-                        selected.append(by_anchor[c.origin])
-    # dedupe, then patch anything the three sweeps missed
-    uniq = list({(rep.s1, rep.s2): rep for rep in selected}.values())
-    patched_list, added = _patch_residual(uniq, n, index)
-    cover = RepeatCover(sorted(patched_list, key=lambda t: (t.s2, t.s1)), n, u.shape)
-    if not np.array_equal(cover.area_grid(), area_all):
-        raise CertificateError("covered area must match the full repeat area")
+            kept = cover_interior(k, d0, n, [Cube(o, n) for o in lift])
+            chosen.update(lift[c.origin] for c in kept)
+    cover, added = _finish(chosen, n, index, u.shape)
     t1 = Fraction(2 * face_count(d, ell) * (k ** ell) * (r ** (d - ell)), n)
     t2 = Fraction(d * (k ** d - int(area_all.sum())), r)
     t3 = sum(face_count(d, d0) * Fraction(2 * k, n) ** d0 for d0 in range(ell + 1, d + 1))
@@ -484,13 +472,9 @@ def full_cube_cover(u: pt.Pattern, n: int) -> RepeatCover:
     (the cube is its own top-dimensional face): at most 2 k^d / n repeats."""
     d, k = u.d, u.shape.side
     index = _repeat_index(u, n)
-    by_anchor, _, area_all = index
     face = Face(d, k, (), ())
-    kept, _ = cover_near_face(k, n, face, [Cube(a, n) for a in by_anchor], radius=n)
-    patched, _ = _patch_residual([by_anchor[c.origin] for c in kept], n, index)
-    cover = RepeatCover(sorted(patched, key=lambda t: (t.s2, t.s1)), n, u.shape)
-    if not np.array_equal(cover.area_grid(), area_all):
-        raise CertificateError("covered area must match the full repeat area")
+    kept, _ = cover_near_face(k, n, face, [Cube(a, n) for a in index[0]], radius=n)
+    cover, _ = _finish({c.origin for c in kept}, n, index, u.shape)
     if len(cover.repeats) * n > 2 * (k ** d):
         raise CertificateError(f"cover size {len(cover.repeats)} exceeds 2 k^d / n")
     return cover
@@ -529,17 +513,12 @@ def asymptotic_cover(u: pt.Pattern, n: int, tau: float) -> AsymptoticCoverReport
         cover = full_cube_cover(u, n)
         route, terms = "interior", (2 * (k ** d) / n,)
     else:
+        # j * 3^d < n^d here, so the least such ell is at most d - 1
         ell = 1
         while j * (3 ** d) >= n ** (ell + 1):
             ell += 1
-        if ell > d - 1:
-            cover = full_cube_cover(u, n)
-            route, terms = "interior", (2 * (k ** d) / n,)
-        else:
-            r = min(max(1, math.ceil(n ** tau - 1e-9)), n - 1)
-            report = efficient_cover(u, n, r, ell)
-            cover = report.cover
-            route, terms = f"skeleton-{ell}", report.bound_terms
+        report = efficient_cover(u, n, min(f, n - 1), ell)
+        cover, route, terms = report.cover, f"skeleton-{ell}", report.bound_terms
     ratio = len(cover.repeats) * math.log(n) / j
     return AsymptoticCoverReport(cover, j, k, route, ratio, terms)
 

@@ -10,7 +10,7 @@ P_j <= j^(d+1) |A|^j for the far tail, with -log(1-x) <= x / (1 - x_max).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ResourceBudgetError
 from .orbits import COUNT_BUDGET, count_orbits
@@ -32,17 +32,7 @@ class ZetaTruncation:
     divergent: bool
 
     def as_dict(self):
-        return {
-            "alphabet": self.alphabet,
-            "d": self.d,
-            "alpha": self.alpha,
-            "j_max": self.j_max,
-            "value": self.value,
-            "log_value": self.log_value,
-            "tail_bound": self.tail_bound,
-            "tail_constant": self.tail_constant,
-            "divergent": self.divergent,
-        }
+        return asdict(self)
 
 
 def _far_tail(d: int, beta: float, start: int) -> float:

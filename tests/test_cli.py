@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -294,3 +295,40 @@ def test_entropy_pattern_count_is_exact_past_2_53(tmp_path, capsys):
     assert main(["entropy", "--omega-in", str(omega_path), "--k", "60"]) == 0
     est = json.loads(capsys.readouterr().out)
     assert est["pattern_count"] == "1152921504606846976"
+
+
+def test_epsilons_not_a_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["experiment", "entropy", "--n", "3", "--alpha", "0.5", "--trials", "6",
+              "--seed", "3", "--k", "6", "--epsilons", "0.1,abc"])
+    assert ei.value.code == 2
+    assert "--epsilons" in capsys.readouterr().err
+
+
+def test_epsilons_from_config_take_the_option_type(tmp_path, capsys):
+    # the CSV bytes were recorded before --epsilons had a type
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("epsilons = 0.1,0.3\n")
+    args = ["experiment", "entropy", "--n", "3", "--alpha", "0.5,0.8", "--trials", "6",
+            "--seed", "3", "--k", "6"]
+    assert main(args + ["--config", str(cfgfile), "--out-csv", str(tmp_path / "c.csv")]) == 0
+    assert main(args + ["--epsilons", "0.1,0.3", "--out-csv", str(tmp_path / "f.csv")]) == 0
+    data = (tmp_path / "c.csv").read_bytes()
+    assert data == (tmp_path / "f.csv").read_bytes()
+    assert b"frac_h_upper_dev_0.3" in data
+    assert hashlib.sha256(data).hexdigest() == (
+        "2e9340640b335ad8260df7af93bff8f21a11e6e6096a9d037309f63b6881fd22")
+
+
+@pytest.mark.parametrize("text", ["1 4 2\n0 -1 0 1\n", "1 4 2\n0 300 0 1\n",
+                                  "1 4 2\n0 x 0 1\n", "a 4 2\n0 1 0 1\n",
+                                  "1 4 300\n0 1 0 1\n", "2 -2 2\n0 1 0 1\n"],
+                         ids=["negative", "past-uint8", "not-int", "bad-header",
+                              "alphabet-past-256", "negative-side"])
+def test_bad_pattern_file_is_a_json_error(tmp_path, text):
+    pat = tmp_path / "pat.txt"
+    pat.write_text(text)
+    r = run_cli(["cover", "--in", str(pat), "--n", "2"])
+    assert r.returncode == 2
+    lines = r.stderr.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "DomainError"

@@ -125,3 +125,31 @@ def test_every_traced_name_exists():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(f"sftlab.{module}"), attr)]
     assert not missing, f"bench/trace_cli.py patches names that are gone: {missing}"
+
+
+def test_traced_cover_names_are_called(monkeypatch):
+    """Every repeatcover and patterns name the tracer wraps is reached by the
+    d2-cover run, so none of its per-layer metrics reads 0 after a refactor
+    routes around it.  cubes_in is left out: no cube pattern reaches it."""
+    from sftlab import patterns, repeatcover
+    from test_repeatcover import d2_cover_pattern
+
+    path = ROOT / "bench" / "trace_cli.py"
+    modules = {"patterns": patterns, "repeatcover": repeatcover}
+    names = sorted({(m, a) for m, a in _patched_names(ast.parse(path.read_text(encoding="utf-8")))
+                    if m in modules and a != "cubes_in"})
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr in names:
+        monkeypatch.setattr(modules[module], attr,
+                            counted((module, attr), getattr(modules[module], attr)))
+    repeatcover.asymptotic_cover(d2_cover_pattern(), 16, 0.5)
+    missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
+    assert len(names) >= 6
+    assert not missing, f"traced but never called on the d2-cover run: {missing}"

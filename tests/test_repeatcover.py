@@ -425,22 +425,38 @@ def _pairs(cover):
     return sorted((r.s1, r.s2) for r in cover.repeats)
 
 
-def _golden_d2_cover():
+def d2_cover_pattern():
     arr = np.tile(np.array(D2_COVER_TILE, dtype=np.uint8), (13, 13))[:64, :64]
-    return [_pairs(R.asymptotic_cover(P.Pattern.from_array(arr, 2), 16, 0.5).cover)]
+    return P.Pattern.from_array(arr, 2)
+
+
+def _asymptotic_runs():
+    """(pattern, n, tau): the d2-cover grid, then an 81x81 checkerboard."""
+    arr = np.fromfunction(lambda i, j: (i + j) % 2, (81, 81)).astype(np.uint8)
+    return [(d2_cover_pattern(), 16, 0.5), (P.Pattern.from_array(arr, 2), 27, 1 / 3)]
+
+
+def _golden_d2_cover():
+    u, n, tau = _asymptotic_runs()[0]
+    return [_pairs(R.asymptotic_cover(u, n, tau).cover)]
 
 
 def _golden_checkerboard_81():
-    arr = np.fromfunction(lambda i, j: (i + j) % 2, (81, 81)).astype(np.uint8)
-    return [_pairs(R.asymptotic_cover(P.Pattern.from_array(arr, 2), 27, 1 / 3).cover)]
+    u, n, tau = _asymptotic_runs()[1]
+    return [_pairs(R.asymptotic_cover(u, n, tau).cover)]
 
 
-def _golden_efficient():
+def _efficient_runs():
+    """(pattern, n, r) of every efficient_cover golden, all with ell = 1."""
     arr = np.fromfunction(lambda i, j: (i + j) % 2, (30, 30)).astype(np.uint8)
     runs = [(P.Pattern.from_array(arr, 2), 6, 3)]
     runs += [(u, 6, 3) for u in periodic_cover_instances()]
     runs += [(u, 9, 4) for u in n9_cover_instances()]
-    return [_pairs(R.efficient_cover(u, n, r, 1).cover) for u, n, r in runs]
+    return runs
+
+
+def _golden_efficient():
+    return [_pairs(R.efficient_cover(u, n, r, 1).cover) for u, n, r in _efficient_runs()]
 
 
 def _golden_full_cube():
@@ -470,3 +486,49 @@ GOLDEN_SELECTIONS = {
 def test_cover_selections_match_golden(name):
     build, digest = GOLDEN_SELECTIONS[name]
     assert hashlib.sha256(repr(build()).encode()).hexdigest() == digest
+
+
+# report fields of the golden runs (recorded before the shared finishing step)
+
+GOLDEN_EFFICIENT_REPORTS = [  # (j, ell, r, bound_terms, bound_total, patched, size)
+    (2, 1, 3, (120.0, 1.3333333333333333, 100.0), 221.33333333333334, 0, 89),
+    (2, 1, 3, (120.0, 1.3333333333333333, 100.0), 221.33333333333334, 0, 89),
+    (1, 1, 3, (120.0, 0.6666666666666666, 100.0), 220.66666666666666, 0, 89),
+    (1, 1, 3, (120.0, 0.6666666666666666, 100.0), 220.66666666666666, 0, 89),
+    (1, 1, 3, (120.0, 0.6666666666666666, 100.0), 220.66666666666666, 0, 89),
+    (8, 1, 4, (106.66666666666667, 4.0, 44.44444444444444), 155.11111111111111, 0, 73),
+    (7, 1, 4, (106.66666666666667, 3.5, 44.44444444444444), 154.61111111111111, 0, 75),
+    (6, 1, 4, (106.66666666666667, 3.0, 44.44444444444444), 154.11111111111111, 0, 73),
+]
+
+GOLDEN_ASYMPTOTIC_REPORTS = [  # (route, j, size, ratio, bound_terms)
+    ("skeleton-1", 25, 86, 9.537705204504848, (128.0, 12.5, 64.0)),
+    ("skeleton-1", 2, 47, 77.45216635110174, (72.0, 1.3333333333333333, 36.0)),
+]
+
+
+def test_efficient_cover_reports_match_golden():
+    got = [(rep.j, rep.ell, rep.r, rep.bound_terms, rep.bound_total, rep.patched, rep.size)
+           for rep in (R.efficient_cover(u, n, r, 1) for u, n, r in _efficient_runs())]
+    assert got == GOLDEN_EFFICIENT_REPORTS
+
+
+def test_asymptotic_cover_reports_match_golden():
+    got = [(rep.route, rep.j, rep.size, rep.ratio, rep.bound_terms)
+           for rep in (R.asymptotic_cover(u, n, tau) for u, n, tau in _asymptotic_runs())]
+    assert got == GOLDEN_ASYMPTOTIC_REPORTS
+
+
+@pytest.mark.parametrize("tile, route", [((1, 1, 1), "skeleton-1"),
+                                         ((2, 2, 1), "skeleton-2"),
+                                         ((2, 2, 2), "interior")])
+def test_asymptotic_cover_routes_d3(tile, route):
+    """n=6, tau=0.3, k=12: a tile with one 1 has prod(tile) distinct windows,
+    so j = 1, 4, 8 picks ell = 1, ell = 2, and the full-cube route (8 * 27 >= 6^3)."""
+    t = np.zeros(tile, dtype=np.uint8)
+    t[0, 0, 0] = 1
+    u = P.Pattern.from_array(np.tile(t, [12 // p for p in tile]), 2)
+    rep = R.asymptotic_cover(u, 6, 0.3)
+    assert (rep.route, rep.j) == (route, int(np.prod(tile)))
+    assert R.is_repeat_cover(u, rep.cover)
+    assert rep.size <= sum(rep.bound_terms)
