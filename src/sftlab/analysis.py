@@ -2,19 +2,21 @@
 exact allowed-pattern counting, periodic-boundary pattern counting (exact or
 Monte Carlo), entropy bounds, and allowed-orbit presence.
 
-Dimension 1 is decided exactly on the window-overlap digraph, a batch at a
-time: one pruning of every row, a longest-path peel for an empty row's
-certificate k, a shortest cycle for a nonempty one.  Every certificate orbit,
-a d = 1 cycle or a d >= 2 torus config, is built and checked against its
-allowed set in `_torus_orbits`.  For d >= 2 the decision is a semi-decision:
-an exact existence search over growing cube sides (failure certifies
-emptiness) interleaved with a periodic-torus search over growing shapes
-(success certifies nonemptiness via a finite orbit); both may exhaust their
-cutoffs, leaving an honest Unknown.  `decide_empty_batch` runs this stage
-schedule once for many trials in trial lanes: 64 trials packed into one uint64
-word (`ensemble.pack_lanes`), bit r being trial r, so that one (or, and) pass
-answers 64 trials; `decide_empty` and `decide_empty_1d` are its batches of
-one.
+Batches of trials run in trial lanes: 64 trials packed into one uint64 word
+(`ensemble.pack_lanes`), bit r being trial r, so that one (or, and) pass
+answers 64 trials.  Dimension 1 is decided exactly on the window-overlap
+digraph, a batch at a time: one pruning of every row, a longest-path peel for
+an empty row's certificate k, both run on the lanes of the window words, and a
+shortest cycle for a nonempty row.  Orbit presence (`allowed_orbit_mask`)
+ANDs the lanes of each orbit's windows.  Every certificate orbit, a d = 1
+cycle or a d >= 2 torus config, is built and checked against its allowed set
+in `_torus_orbits`.  For d >= 2 the decision is a semi-decision: an exact
+existence search over growing cube sides (failure certifies emptiness)
+interleaved with a periodic-torus search over growing shapes (success
+certifies nonemptiness via a finite orbit); both may exhaust their cutoffs,
+leaving an honest Unknown.  `decide_empty_batch` runs this stage schedule once
+for many trials in lanes; `decide_empty` and `decide_empty_1d` are its
+batches of one.
 
 Existence, pattern counts and periodic fill-in counts all run one recursion,
 `_frontier_weights`: it walks the side-k cube cell by cell in row-major order,
@@ -91,27 +93,26 @@ class EntropyEstimate:
 # ---------------------------------------------------------------------------
 # d = 1: window-overlap digraph
 
-def _has_successor(alive: np.ndarray, alphabet: int) -> np.ndarray:
-    """Per window of the boolean rows (trials, window codes), whether a window
-    of the same row extends it by one symbol (overlap n-1 to the right)."""
-    s = alive.shape[1] // alphabet
-    by_prefix = alive.reshape(len(alive), s, alphabet).any(axis=2)  # some window starts with x
-    return np.tile(by_prefix, alphabet)  # window c's successors start with its suffix c % s
+def _has_successor(lanes: np.ndarray, alphabet: int) -> np.ndarray:
+    """Per window of (windows, G) trial lanes, the lanes in which a window of
+    the same trial extends it by one symbol (overlap n-1 to the right)."""
+    s = len(lanes) // alphabet
+    by_prefix = np.bitwise_or.reduce(lanes.reshape(s, alphabet, -1), axis=1)  # some window starts with x
+    return np.tile(by_prefix, (alphabet, 1))  # window c's successors start with its suffix c % s
 
 
 def prune_rows(bits: np.ndarray, n: int, alphabet: int) -> np.ndarray:
     """Batch fixpoint pruning: rows are trials, columns window codes.  A window
     survives while it has a surviving successor (overlap n-1 to the right) and
-    predecessor; the SFT is nonempty exactly when anything survives."""
-    alive = np.array(bits, dtype=bool, copy=True)
-    w = alive.shape[1]
-    s = w // alphabet
-    prefix_idx = np.arange(w) // alphabet
+    predecessor; the SFT is nonempty exactly when anything survives.  The
+    fixpoint runs on the trial lanes of the rows."""
+    alive = pack_lanes(bits)
+    s = len(alive) // alphabet
     while True:
-        by_suffix = alive.reshape(-1, alphabet, s).any(axis=1)   # some window ends with x
-        nxt = alive & _has_successor(alive, alphabet) & by_suffix[:, prefix_idx]
+        by_suffix = np.bitwise_or.reduce(alive.reshape(alphabet, s, -1), axis=0)  # some window ends with x
+        nxt = alive & _has_successor(alive, alphabet) & np.repeat(by_suffix, alphabet, axis=0)
         if np.array_equal(nxt, alive):
-            return nxt
+            return unpack_lanes(nxt, len(bits))
         alive = nxt
 
 
@@ -119,14 +120,14 @@ def _peel_rounds(bits: np.ndarray, alphabet: int) -> np.ndarray:
     """Per row of an acyclic window graph, the rounds that peeling the windows
     without a surviving successor takes to empty it: a longest path of e edges
     lasts e + 1 rounds, a row with no window 0.  Anything alive after W + 1
-    rounds lies on a cycle."""
-    alive = np.array(bits, dtype=bool, copy=True)
-    rounds = np.zeros(len(alive), dtype=np.int64)
-    for _ in range(alive.shape[1] + 1):
-        live = alive.any(axis=1)
+    rounds lies on a cycle.  The peel runs on the trial lanes of the rows."""
+    alive = pack_lanes(bits)
+    rounds = np.zeros(len(bits), dtype=np.int64)
+    for _ in range(len(alive) + 1):
+        live = np.bitwise_or.reduce(alive, axis=0)
         if not live.any():
             return rounds
-        rounds += live
+        rounds += unpack_lanes(live[None, :], len(bits))[:, 0]
         alive &= _has_successor(alive, alphabet)
     raise CertificateError("pruned-empty window graph has a cycle")
 
@@ -664,9 +665,20 @@ def entropy_estimate(omega: AllowedSet, k: int,
 
 def allowed_orbit_mask(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """(rows, orbits) bool: whether every window of each orbit, a row of the
-    orbit window masks, is retained in each row of bits."""
-    hits = np.asarray(bits, dtype=np.float32) @ masks.T.astype(np.float32)
-    return hits == masks.sum(axis=1).astype(np.float32)
+    orbit window masks, is retained in each row of bits.  Each orbit ANDs the
+    trial lanes of its windows, one window slot of every orbit at a time; an
+    orbit with fewer windows than the widest fills its slots with all-ones
+    lanes."""
+    lanes = np.vstack([pack_lanes(bits), np.full((1, -(-len(bits) // 64)), ~np.uint64(0))])
+    counts = np.count_nonzero(masks, axis=1)
+    orbit, window = np.nonzero(masks)  # orbit by orbit
+    slot = np.arange(len(orbit)) - np.repeat(np.cumsum(counts) - counts, counts)
+    slots = np.full((len(masks), counts.max(initial=1)), len(lanes) - 1)
+    slots[orbit, slot] = window
+    ok = lanes[slots[:, 0]]
+    for j in range(1, slots.shape[1]):
+        ok &= lanes[slots[:, j]]
+    return unpack_lanes(ok, len(bits))
 
 
 def periodic_orbits_present(omega: AllowedSet, max_size: int):

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import SftlabError
+from .errors import DomainError, SftlabError
 from . import analysis, experiments, patterns, repeatcover, zeta
 from .ensemble import AllowedSet, EnsembleParams, sample
 from .orbits import count_orbits
@@ -31,6 +31,15 @@ def _load_config(path):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise DomainError, so main
+    reports them as one JSON line and exit 2 like every other bad input;
+    subparsers take the class of their parent."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def _leaf_parsers(parser):
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
@@ -43,7 +52,7 @@ def _parse(parser, argv):
     become the commands' defaults, so argparse converts them with each
     option's type and explicit flags win, and an option the file supplies is
     no longer required."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(prog="sftlab", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     cfg = _load_config(path) if path else {}
@@ -79,8 +88,7 @@ def _add_common(p):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="sftlab",
-                                 description="random Z^d-SFT laboratory")
+    ap = _Parser(prog="sftlab", description="random Z^d-SFT laboratory")
     ap.add_argument("--version", action="version", version=f"sftlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ TAG_WINDOW_BITS = 0x57494E44  # window-retention stream
 TAG_BOUNDARY = 0x42445259     # periodic-boundary sampling stream
 
 _MAGIC = b"SFTOMEGA"
+_SAMPLE_BLOCK = 64  # trials whose raw words are thresholded at once
 
 
 def _splitmix64(x: int) -> int:
@@ -38,13 +39,17 @@ def _mix_key(*vals) -> int:
     return h
 
 
+def _stream_key(seed: int, tag: int, context) -> np.ndarray:
+    """The Philox key of the (seed, tag, context) stream."""
+    return np.array([_mix_key(seed, tag, *context),
+                     _mix_key(tag, seed, *context, 0xA5A5A5A5)], dtype=np.uint64)
+
+
 def stream_words(seed: int, tag: int, context, trial: int, count: int) -> np.ndarray:
-    """`count` raw 64-bit words from the (seed, tag, context; trial) stream."""
-    k0 = _mix_key(seed, tag, *context)
-    k1 = _mix_key(tag, seed, *context, 0xA5A5A5A5)
-    key = np.array([k0, k1], dtype=np.uint64)
+    """`count` raw 64-bit words from the (seed, tag, context; trial) stream:
+    Philox with the trial in the last counter word, the others 0."""
     counter = np.array([0, 0, 0, int(trial) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    bg = np.random.Philox(key=key, counter=counter)
+    bg = np.random.Philox(key=_stream_key(seed, tag, context), counter=counter)
     return bg.random_raw(count)
 
 
@@ -135,13 +140,25 @@ def sample(params: EnsembleParams, trial: int) -> AllowedSet:
 
 
 def sample_bits_batch(params: EnsembleParams, trials) -> np.ndarray:
-    """(len(trials), n_windows) boolean matrix; row t is sample(params, trials[t])."""
+    """(len(trials), n_windows) boolean matrix; row i is sample(params,
+    trials[i]).  One Philox serves the batch: before each trial it is set back
+    to its fresh state, buffer empty, with the counter stream_words starts
+    that trial at, so the words are the same."""
     thr = np.uint64(bernoulli_threshold(params.alpha))
-    out = np.empty((len(trials), params.n_windows), dtype=bool)
-    for i, t in enumerate(trials):
-        words = stream_words(params.seed, TAG_WINDOW_BITS,
-                             (params.d, params.n, params.alphabet), t, params.n_windows)
-        out[i] = (words >> np.uint64(11)) < thr
+    w = params.n_windows
+    bg = np.random.Philox(key=_stream_key(params.seed, TAG_WINDOW_BITS,
+                                          (params.d, params.n, params.alphabet)))
+    state = bg.state
+    counter = state["state"]["counter"]
+    out = np.empty((len(trials), w), dtype=bool)
+    words = np.empty((max(1, min(len(trials), _SAMPLE_BLOCK)), w), dtype=np.uint64)
+    for lo in range(0, len(trials), len(words)):
+        block = trials[lo : lo + len(words)]
+        for i, t in enumerate(block):
+            counter[3] = int(t) & 0xFFFFFFFFFFFFFFFF
+            bg.state = state
+            words[i] = bg.random_raw(w)
+        np.less(words[: len(block)] >> np.uint64(11), thr, out=out[lo : lo + len(block)])
     return out
 
 
@@ -152,10 +169,13 @@ def pack_lanes(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=bool)
     count, w = rows.shape
     groups = -(-count // 64)
-    padded = np.zeros((groups * 64, w), dtype=bool)
+    padded = np.zeros((groups * 64, w), dtype=np.uint8)
     padded[:count] = rows
-    packed = np.packbits(padded.reshape(groups, 64, w), axis=1, bitorder="little")
-    words = np.ascontiguousarray(packed.transpose(2, 0, 1)).view("<u8")
+    by_byte = padded.reshape(groups * 8, 8, w)  # byte b of a word: rows 8 b .. 8 b + 7
+    packed = by_byte[:, 0].copy()
+    for r in range(1, 8):
+        packed |= by_byte[:, r] << r
+    words = np.ascontiguousarray(packed.reshape(groups, 8, w).transpose(2, 0, 1)).view("<u8")
     return words.reshape(w, groups).astype(np.uint64, copy=False)
 
 

@@ -15,7 +15,7 @@ from sftlab import patterns as P
 from sftlab.ensemble import (AllowedSet, EnsembleParams, orbit_allowed, pack_lanes, sample,
                              unpack_lanes)
 from sftlab.errors import CertificateError, DomainError, ResourceBudgetError
-from sftlab.orbits import orbit_from_config
+from sftlab.orbits import orbit_from_config, orbit_window_table
 
 # deterministic property tests, no example database left behind
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -160,6 +160,82 @@ def test_peel_matches_kahn_on_prune_empty_rows(data, n_alphabet):
 def test_peel_refuses_a_cycle():
     with pytest.raises(CertificateError):
         A._peel_rounds(np.ones((3, 4), dtype=bool), 2)
+
+
+# the bool-row d = 1 paths that trial lanes replaced, kept as oracles
+
+def oracle_has_successor(alive, alphabet):
+    s = alive.shape[1] // alphabet
+    return np.tile(alive.reshape(len(alive), s, alphabet).any(axis=2), alphabet)
+
+
+def oracle_prune_rows(bits, n, alphabet):
+    alive = np.array(bits, dtype=bool, copy=True)
+    w = alive.shape[1]
+    s = w // alphabet
+    prefix_idx = np.arange(w) // alphabet
+    while True:
+        by_suffix = alive.reshape(-1, alphabet, s).any(axis=1)
+        nxt = alive & oracle_has_successor(alive, alphabet) & by_suffix[:, prefix_idx]
+        if np.array_equal(nxt, alive):
+            return nxt
+        alive = nxt
+
+
+def oracle_peel_rounds(bits, alphabet):
+    alive = np.array(bits, dtype=bool, copy=True)
+    rounds = np.zeros(len(alive), dtype=np.int64)
+    for _ in range(alive.shape[1] + 1):
+        live = alive.any(axis=1)
+        if not live.any():
+            return rounds
+        rounds += live
+        alive &= oracle_has_successor(alive, alphabet)
+    raise CertificateError("pruned-empty window graph has a cycle")
+
+
+def oracle_allowed_orbit_mask(bits, masks):
+    hits = np.asarray(bits, dtype=np.float32) @ masks.T.astype(np.float32)
+    return hits == masks.sum(axis=1).astype(np.float32)
+
+
+LANE_ROWS = [1, 63, 64, 65, 130]
+
+
+def _random_rows(seed, count, w):
+    """count rows of w windows, each retained with a density drawn per row."""
+    rng = np.random.default_rng(seed)
+    return rng.random((count, w)) < rng.random((count, 1))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(LANE_ROWS), st.integers(2, 6),
+       st.sampled_from([2, 3]))
+def test_lane_pruning_and_peel_match_bool_rows(seed, count, n, alphabet):
+    rows = _random_rows(seed, count, alphabet ** n)
+    alive = oracle_prune_rows(rows, n, alphabet)
+    got = A.prune_rows(rows, n, alphabet)
+    assert got.dtype == bool and np.array_equal(got, alive)
+    # without the windows that survive pruning, no row has a cycle left
+    acyclic = rows & ~alive
+    assert np.array_equal(A._peel_rounds(acyclic, alphabet),
+                          oracle_peel_rounds(acyclic, alphabet))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(LANE_ROWS), st.integers(2, 6),
+       st.sampled_from([2, 3]), st.integers(0, 6))
+def test_lane_orbit_mask_matches_matmul(seed, count, n, alphabet, orbit_max):
+    """orbit_max 0 stands for random masks, some rows with no window at all."""
+    rows = _random_rows(seed, count, alphabet ** n)
+    if orbit_max:
+        masks = orbit_window_table(alphabet, 1, n, orbit_max)[1]
+    else:
+        masks = (np.random.default_rng(seed + 1).random((50, alphabet ** n)) < 0.02
+                 ).astype(np.uint8)
+    got = A.allowed_orbit_mask(rows, masks)
+    assert got.shape == (count, len(masks))
+    assert np.array_equal(got, oracle_allowed_orbit_mask(rows, masks))
 
 
 def test_decide_empty_1d_requires_d1():

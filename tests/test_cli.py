@@ -22,20 +22,31 @@ def test_help_exits_zero():
     for cmd in ("sample", "emptiness", "entropy", "orbits", "zeta", "cover",
                 "experiment"):
         assert cmd in r.stdout
+    # --version is no usage error either
+    r = run_cli(["--version"])
+    assert r.returncode == 0
+    assert r.stdout.startswith("sftlab ")
 
 
 def test_unknown_flag_rejected():
     r = run_cli(["zeta", "--d", "1", "--alphabet", "2", "--alpha", "0.25",
                  "--jmax", "3", "--frobnicate", "1"])
-    assert r.returncode != 0
-    assert "frobnicate" in r.stderr
+    assert r.returncode == 2
+    assert "frobnicate" in _one_json_error(r.stderr)["message"]
+
+
+def _one_json_error(stderr):
+    """The single stderr line of a usage error, parsed."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return json.loads(lines[0])
 
 
 def test_invalid_value_names_flag():
     r = run_cli(["zeta", "--d", "1", "--alphabet", "2", "--alpha", "zero",
                  "--jmax", "3"])
-    assert r.returncode != 0
-    assert "--alpha" in r.stderr
+    assert r.returncode == 2
+    assert "--alpha" in _one_json_error(r.stderr)["message"]
 
 
 def test_zeta_json_value():
@@ -218,10 +229,8 @@ def test_config_supplies_a_required_option(tmp_path, capsys):
     assert main(["zeta", "--alpha", "0.1", "--config", str(cfgfile)]) == 0
     assert json.loads(capsys.readouterr().out)["j_max"] == 5
     # a required option that neither a flag nor the config gives still fails
-    with pytest.raises(SystemExit) as ei:
-        main(["zeta", "--config", str(cfgfile)])
-    assert ei.value.code == 2
-    assert "--alpha" in capsys.readouterr().err
+    assert main(["zeta", "--config", str(cfgfile)]) == 2
+    assert "--alpha" in _one_json_error(capsys.readouterr().err)["message"]
 
 
 def test_cover_takes_n_from_config(tmp_path, capsys):
@@ -298,11 +307,9 @@ def test_entropy_pattern_count_is_exact_past_2_53(tmp_path, capsys):
 
 
 def test_epsilons_not_a_number_exits_2(capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["experiment", "entropy", "--n", "3", "--alpha", "0.5", "--trials", "6",
-              "--seed", "3", "--k", "6", "--epsilons", "0.1,abc"])
-    assert ei.value.code == 2
-    assert "--epsilons" in capsys.readouterr().err
+    assert main(["experiment", "entropy", "--n", "3", "--alpha", "0.5", "--trials", "6",
+                 "--seed", "3", "--k", "6", "--epsilons", "0.1,abc"]) == 2
+    assert "--epsilons" in _one_json_error(capsys.readouterr().err)["message"]
 
 
 def test_epsilons_from_config_take_the_option_type(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sftlab import patterns as P
-from sftlab.ensemble import (AllowedSet, EnsembleParams, bernoulli_threshold,
-                             is_locally_allowed, orbit_allowed, pack_lanes, sample,
-                             sample_bits_batch, unpack_lanes)
+from sftlab.ensemble import (TAG_WINDOW_BITS, AllowedSet, EnsembleParams,
+                             bernoulli_threshold, is_locally_allowed, orbit_allowed,
+                             pack_lanes, sample, sample_bits_batch, stream_words,
+                             unpack_lanes)
 from sftlab.errors import DomainError
 from sftlab.orbits import enumerate_orbits, orbit_windows
 
@@ -131,13 +133,36 @@ def test_save_load_round_trip(tmp_path):
 
 def test_stream_golden_values():
     # pins the documented stream so upstream generator changes are caught
-    from sftlab.ensemble import TAG_WINDOW_BITS, stream_words
     words = stream_words(42, TAG_WINDOW_BITS, (1, 8, 2), 7, 4)
     assert [int(x) for x in words] == [
         0xA073FF38FD3F4273, 0xB92BA06561266033,
         0x34B6E42DFDE6CC0C, 0x34B32B2B4FA55CDA]
     omega = sample(EnsembleParams(2, 1, 3, 0.37, 123), 5)
     assert omega.bits.astype(int).tolist() == [1, 0, 0, 0, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("trials", [
+    [9, 0, 9, 4, 2, 4],                    # unsorted, repeated
+    [2 ** 63, 2 ** 64 - 1, 0, 2 ** 64 - 1],  # the top of the 64-bit counter word
+    [],
+    range(130),                            # past two blocks of thresholded words
+])
+def test_batch_rows_are_the_thresholded_streams(trials):
+    params = EnsembleParams(3, 1, 3, 0.37, 2024)
+    thr = np.uint64(bernoulli_threshold(params.alpha))
+    got = sample_bits_batch(params, trials)
+    assert got.shape == (len(trials), 27) and got.dtype == bool
+    for row, t in zip(got, trials):
+        words = stream_words(params.seed, TAG_WINDOW_BITS, (1, 3, 3), t, 27)
+        assert np.array_equal(row, (words >> np.uint64(11)) < thr)
+
+
+def test_batch_golden_digest():
+    # recorded with one Philox per trial, before the batch shared one
+    bits = sample_bits_batch(EnsembleParams(3, 1, 3, 0.37, 2024),
+                             [9, 0, 2 ** 63, 2 ** 64 - 1, 9, 4])
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == (
+        "e1a48fe666a7b9a9d933c806d6e31d84a7994292cd79663eb30cf9ac87482fcc")
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)

@@ -127,17 +127,9 @@ def test_every_traced_name_exists():
     assert not missing, f"bench/trace_cli.py patches names that are gone: {missing}"
 
 
-def test_traced_cover_names_are_called(monkeypatch):
-    """Every repeatcover and patterns name the tracer wraps is reached by the
-    d2-cover run, so none of its per-layer metrics reads 0 after a refactor
-    routes around it.  cubes_in is left out: no cube pattern reaches it."""
-    from sftlab import patterns, repeatcover
-    from test_repeatcover import d2_cover_pattern
-
-    path = ROOT / "bench" / "trace_cli.py"
-    modules = {"patterns": patterns, "repeatcover": repeatcover}
-    names = sorted({(m, a) for m, a in _patched_names(ast.parse(path.read_text(encoding="utf-8")))
-                    if m in modules and a != "cubes_in"})
+def _count_calls(monkeypatch, modules, names):
+    """Wrap each (module, attr) of names so that it counts its calls in the
+    returned Counter."""
     calls = Counter()
 
     def counted(key, fn):
@@ -149,7 +141,44 @@ def test_traced_cover_names_are_called(monkeypatch):
     for module, attr in names:
         monkeypatch.setattr(modules[module], attr,
                             counted((module, attr), getattr(modules[module], attr)))
+    return calls
+
+
+def test_traced_cover_names_are_called(monkeypatch):
+    """Every repeatcover and patterns name the tracer wraps is reached by the
+    d2-cover run, so none of its per-layer metrics reads 0 after a refactor
+    routes around it.  cubes_in is left out: no cube pattern reaches it."""
+    from sftlab import patterns, repeatcover
+    from test_repeatcover import d2_cover_pattern
+
+    path = ROOT / "bench" / "trace_cli.py"
+    modules = {"patterns": patterns, "repeatcover": repeatcover}
+    names = sorted({(m, a) for m, a in _patched_names(ast.parse(path.read_text(encoding="utf-8")))
+                    if m in modules and a != "cubes_in"})
+    calls = _count_calls(monkeypatch, modules, names)
     repeatcover.asymptotic_cover(d2_cover_pattern(), 16, 0.5)
     missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
     assert len(names) >= 6
     assert not missing, f"traced but never called on the d2-cover run: {missing}"
+
+
+def test_traced_d1_names_are_called(monkeypatch):
+    """Every d = 1 name the tracer wraps is reached by small d = 1 emptiness
+    and orbit experiments, so the ensemble.*, analysis.prune_rows.* and
+    orbit-table metrics of the d = 1 workloads do not read 0 after a refactor
+    routes around them."""
+    from sftlab import analysis, experiments
+
+    path = ROOT / "bench" / "trace_cli.py"
+    modules = {"analysis": analysis, "experiments": experiments}
+    names = [("analysis", "prune_rows"), ("experiments", "_emptiness_chunk"),
+             ("experiments", "_orbit_chunk"), ("experiments", "orbit_window_table"),
+             ("experiments", "sample_bits_batch")]
+    assert set(names) <= set(_patched_names(ast.parse(path.read_text(encoding="utf-8"))))
+    calls = _count_calls(monkeypatch, modules, names)
+    cfg = experiments.ExperimentConfig(d=1, alphabet=2, n=4, alphas=(0.3, 0.6), trials=70,
+                                       seed=5, orbit_max=4)
+    experiments.run_emptiness_experiment(cfg)
+    experiments.run_orbit_experiment(cfg)
+    missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
+    assert not missing, f"traced but never called by d = 1 chunks: {missing}"
