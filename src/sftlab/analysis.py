@@ -7,7 +7,7 @@ Batches of trials run in trial lanes: 64 trials packed into one uint64 word
 answers 64 trials.  Dimension 1 is decided exactly on the window-overlap
 digraph, a batch at a time: one pruning of every row, a longest-path peel for
 an empty row's certificate k, both run on the lanes of the window words, and a
-shortest cycle for a nonempty row.  Orbit presence (`allowed_orbit_mask`)
+shortest cycle for a nonempty row.  Orbit presence (`allowed_orbit_lanes`)
 ANDs the lanes of each orbit's windows.  Every certificate orbit, a d = 1
 cycle or a d >= 2 torus config, is built and checked against its allowed set
 in `_torus_orbits`.  For d >= 2 the decision is a semi-decision: an exact
@@ -21,13 +21,19 @@ batches of one.
 Existence, pattern counts and periodic fill-in counts all run one recursion,
 `_frontier_weights`: it walks the side-k cube cell by cell in row-major order,
 carrying a weight for each content of the last m cells (m = n for d = 1), with
-optional per-cell clamps and a batch axis for many boundaries at once.  Its
-dtype picks the semiring: the uint64 lane semiring (or, and) for existence,
-one word of 64 trials per walk, float64 or exact Python ints (+, *) for
-counts.  Budgets: the frontier holds at most 2^FRONTIER_BUDGET_BITS states,
-or 2^COUNT_STATE_BUDGET_BITS with exact ints; the one exactness guard uses
-float64 only while |A|^(free cells) <= 2^52 (free cells k^d, or
-max(0, k-2n)^d with the boundary clamped).
+a batch axis for many boundaries at once.  A walk clamped to a periodic
+boundary starts after its head, the first n slabs along axis 0: they are all
+boundary cells and hold the last m cells, so each row starts in one state,
+weighted by the AND of the windows inside the head; at every later clamped
+cell only the row's branch is written.  The dtype picks the semiring: the
+uint64 lane semiring (or, and) for existence, one word of 64 trials per walk,
+float32, float64 or exact Python ints (+, *) for counts.  Budgets: the
+frontier holds at most 2^FRONTIER_BUDGET_BITS states, or
+2^COUNT_STATE_BUDGET_BITS with exact ints.  The one exactness guard,
+`_exact_dtype`, serves every count: each weight and partial sum is a
+nonnegative integer at most |A|^(free cells), so counts run in float32 while
+that is at most 2^24, in float64 while at most 2^52, and in exact ints beyond
+(free cells k^d, or max(0, k-2n)^d with the boundary clamped).
 
 Torus search and exact periodic counts run one cyclic slab transfer,
 `_slab_walk`: a config on the wraparound shape (b, *cross) is a closed walk of
@@ -47,7 +53,7 @@ window codes, the cache that also holds the slab transfer's block tables;
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -189,13 +195,18 @@ def decide_empty_1d(omega: AllowedSet) -> EmptinessVerdict:
 # ---------------------------------------------------------------------------
 # The rolling-frontier recursion behind every existence and count query
 
+def _span(d: int, n: int, k: int) -> int:
+    """Frontier width m: the span of one window plus the rows/planes between,
+    in row-major cells of the side-k cube (m = n for d = 1)."""
+    return (n - 1) * sum(k ** i for i in range(d)) + 1
+
+
 @lru_cache(maxsize=None)
 def _frontier_tables(d: int, n: int, alphabet: int, k: int):
     """State digits cover the last m cells of the side-k cube in row-major
-    order, m = the span of one window plus the rows/planes between (m = n for
-    d = 1); the newest cell is the most significant digit.  Returns (m,
+    order; the newest cell is the most significant digit.  Returns (m,
     per-state window-code table for the window completed by the newest cell)."""
-    m = (n - 1) * sum(k ** i for i in range(d)) + 1
+    m = _span(d, n, k)
     if m * math.log2(alphabet) > FRONTIER_BUDGET_BITS:
         raise ResourceBudgetError(
             f"frontier state space {alphabet}^{m} over budget for d={d}, n={n}, k={k}"
@@ -210,23 +221,54 @@ def _frontier_tables(d: int, n: int, alphabet: int, k: int):
     return m, codes
 
 
+@lru_cache(maxsize=None)
+def _clamp_tables(d: int, n: int, k: int):
+    """Index arrays of the walk clamped to a periodic boundary (period k-n+1
+    per axis, k >= 2n), as columns of the free boundary cells: (head, owner,
+    state_cols, window_cols).  The first n slabs along axis 0, the first head
+    cells in row-major order, are all boundary cells and hold the last m of
+    them, so the walk starts after the head in one state per row: the cells
+    state_cols, newest first, weighted by the AND of the windows inside the
+    head, whose cells in lex point order are the rows of window_cols.
+    owner[t] is the column that row-major cell t is clamped to, -1 for an
+    interior cell.  Cached; read-only."""
+    shape = (k,) * d
+    _, owners = _boundary_cell_owners(d, n, k)
+    owner = np.full(k ** d, -1, dtype=np.int64)
+    for cell, col in owners.items():
+        owner[np.ravel_multi_index(cell, shape)] = col
+    head = n * k ** (d - 1)  # at least m, since n <= k
+    state_cols = owner[head - _span(d, n, k) : head][::-1].copy()
+    inside = (slice(0, 1),) + (slice(0, k - n + 1),) * (d - 1)
+    window_cols = owner[pt.window_cells(shape, n).reshape(shape + (-1,))[inside]
+                        .reshape(-1, n ** d)]
+    for table in (owner, state_cols, window_cols):
+        table.setflags(write=False)
+    return head, owner, state_cols, window_cols
+
+
 def _exact_dtype(alphabet: int, free_cells: int):
-    """The exactness guard: float64 while every count is at most
-    |A|^free_cells <= 2^52, exact Python ints beyond."""
-    return np.float64 if free_cells * math.log2(alphabet) <= 52 else object
+    """The exactness guard: every weight and partial sum of a count is a
+    nonnegative integer at most |A|^free_cells, so the count runs in float32
+    while that is at most 2^24, in float64 while at most 2^52, and in exact
+    Python ints beyond."""
+    top = alphabet ** free_cells
+    return np.float32 if top <= 1 << 24 else np.float64 if top <= 1 << 52 else object
 
 
 def _frontier_weights(bits, d: int, n: int, alphabet: int, k: int, dtype,
-                      owners=None, syms=None) -> np.ndarray:
+                      syms=None) -> np.ndarray:
     """Walk the side-k cube cell by cell in row-major order, carrying a weight
     per frontier state and batch row; returns them shaped (batch, states).
 
     dtype picks the semiring: uint64 is the lane semiring (or, and) for
     existence, where bits is one word of trial lanes per window and bit r of
-    a weight is trial r; float64 and object (exact Python ints, held to
-    COUNT_STATE_BUDGET_BITS) are (+, *) for counts.  Clamps: owners maps a
-    cell to the column of syms, shaped (batch, free cells), that holds the
-    symbol the cell is fixed to in each row."""
+    a weight is trial r; float32, float64 and object (exact Python ints, held
+    to COUNT_STATE_BUDGET_BITS) are (+, *) for counts.  Clamps: syms, shaped
+    (batch, free cells), fixes each row's boundary cells to a periodic
+    boundary (period k-n+1 per axis, k >= 2n), as _boundary_cell_owners maps
+    them; the walk then starts after the clamped head (_clamp_tables) and
+    writes only the row's branch at every later clamped cell."""
     if k < n:
         raise DomainError("need k >= n")
     A = alphabet
@@ -241,21 +283,31 @@ def _frontier_weights(bits, d: int, n: int, alphabet: int, k: int, dtype,
     check = bits[codes].reshape(A, sub)
     batch = 1 if syms is None else len(syms)
     w = np.zeros((batch, A, sub), dtype=dtype)
-    w[:, 0, 0] = one  # warm-up digits are never read before m real cells exist
-    for cell in product(range(k), repeat=d):
+    if syms is None:
+        start, owner = 0, None
+        w[:, 0, 0] = one  # warm-up digits are never read before m real cells exist
+    else:
+        start, owner, state_cols, window_cols = _clamp_tables(d, n, k)
+        rows = np.arange(batch)
+        state = syms[:, state_cols] @ A ** np.arange(m - 1, -1, -1)
+        head_codes = syms[:, window_cols] @ A ** np.arange(n ** d - 1, -1, -1)
+        w.reshape(batch, A * sub)[rows, state] = bits[head_codes].all(axis=1)
+    for t, cell in enumerate(islice(product(range(k), repeat=d), start, None), start):
         old = w.reshape(batch, sub, A)  # oldest digit last
-        agg = old[:, :, 0].copy()
-        for a in range(1, A):
+        agg = old[:, :, 0].copy() if A == 1 else add(old[:, :, 0], old[:, :, 1])
+        for a in range(2, A):
             add(agg, old[:, :, a], out=agg)
         checked = min(cell) >= n - 1
-        clamp = owners.get(cell) if owners else None
-        for a in range(A):
-            if checked:
-                mul(agg, check[a], out=w[:, a])
-            else:
-                w[:, a] = agg
-            if clamp is not None:
-                mul(w[:, a], (syms[:, clamp] == a)[:, None], out=w[:, a])
+        if owner is not None and owner[t] >= 0:
+            sym = syms[:, owner[t]]  # each row's clamped symbol, its one branch
+            w.fill(0)
+            w[rows, sym] = mul(agg, check[sym]) if checked else agg
+        else:
+            for a in range(A):
+                if checked:
+                    mul(agg, check[a], out=w[:, a])
+                else:
+                    w[:, a] = agg
     return w.reshape(batch, A * sub)
 
 
@@ -277,10 +329,11 @@ def pattern_exists(omega: AllowedSet, k: int) -> bool:
 
 
 def count_patterns_1d_fast(bits: np.ndarray, n: int, alphabet: int, k: int) -> float:
-    """Float64 line count; exact while the count stays below 2^53."""
-    if _exact_dtype(alphabet, k) is object:
+    """Float line count; exact while |A|^k <= 2^52."""
+    dtype = _exact_dtype(alphabet, k)
+    if dtype is object:
         raise ResourceBudgetError("count may exceed exact float range; use count_patterns")
-    return float(_frontier_weights(bits, 1, n, alphabet, k, np.float64).sum())
+    return float(_frontier_weights(bits, 1, n, alphabet, k, dtype).sum())
 
 
 def count_patterns(omega: AllowedSet, k: int):
@@ -586,11 +639,9 @@ def _fill_counts(omega: AllowedSet, k: int, syms: np.ndarray) -> np.ndarray:
     n, d, A = omega.n, omega.d, omega.alphabet
     dtype = _exact_dtype(A, max(0, k - 2 * n) ** d)
     m, _ = _frontier_tables(d, n, A, k)
-    _, owners = _boundary_cell_owners(d, n, k)
     chunk = max(1, (1 << FRONTIER_BUDGET_BITS) // A ** m)
     return np.concatenate([
-        _frontier_weights(omega.bits, d, n, A, k, dtype, owners,
-                          syms[lo : lo + chunk]).sum(axis=1)
+        _frontier_weights(omega.bits, d, n, A, k, dtype, syms[lo : lo + chunk]).sum(axis=1)
         for lo in range(0, len(syms), chunk)
     ])
 
@@ -663,12 +714,12 @@ def entropy_estimate(omega: AllowedSet, k: int,
                            h_per, pc.boundary_pool)
 
 
-def allowed_orbit_mask(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """(rows, orbits) bool: whether every window of each orbit, a row of the
-    orbit window masks, is retained in each row of bits.  Each orbit ANDs the
-    trial lanes of its windows, one window slot of every orbit at a time; an
-    orbit with fewer windows than the widest fills its slots with all-ones
-    lanes."""
+def allowed_orbit_lanes(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(orbits, G) uint64 trial lanes: bit r of row j is set when every window
+    of orbit j, a row of the orbit window masks, is retained in row r of bits.
+    Each orbit ANDs the trial lanes of its windows, one window slot of every
+    orbit at a time; an orbit with fewer windows than the widest fills its
+    slots with all-ones lanes."""
     lanes = np.vstack([pack_lanes(bits), np.full((1, -(-len(bits) // 64)), ~np.uint64(0))])
     counts = np.count_nonzero(masks, axis=1)
     orbit, window = np.nonzero(masks)  # orbit by orbit
@@ -678,7 +729,13 @@ def allowed_orbit_mask(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     ok = lanes[slots[:, 0]]
     for j in range(1, slots.shape[1]):
         ok &= lanes[slots[:, j]]
-    return unpack_lanes(ok, len(bits))
+    return ok
+
+
+def allowed_orbit_mask(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(rows, orbits) bool: whether every window of each orbit, a row of the
+    orbit window masks, is retained in each row of bits."""
+    return unpack_lanes(allowed_orbit_lanes(bits, masks), len(bits))
 
 
 def periodic_orbits_present(omega: AllowedSet, max_size: int):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from . import analysis
-from .ensemble import EnsembleParams, sample, sample_bits_batch
+from .ensemble import EnsembleParams, sample, sample_bits_batch, unpack_lanes
 from .orbits import orbit_window_table
 from .zeta import independence_upper_bound, zeta_inverse
 from . import __version__
@@ -171,7 +171,9 @@ def _orbit_chunk(args):
     params = EnsembleParams(alphabet, d, n, alpha, seed)
     _, masks, _ = orbit_window_table(alphabet, d, n, orbit_max)
     bits = sample_bits_batch(params, range(lo, hi))
-    any_small = analysis.allowed_orbit_mask(bits, masks).any(axis=1)
+    # one lane row: the trials in which some orbit is allowed
+    small = np.bitwise_or.reduce(analysis.allowed_orbit_lanes(bits, masks), axis=0)
+    any_small = unpack_lanes(small[None, :], len(bits))[:, 0]
     # small-orbit trials are certified by the orbit found here
     verdicts, has_cert = _verdicts_for(params, lo, k_max, torus_max, bits, ~any_small)
     nonempty_no_small = (verdicts == VERDICT_NONEMPTY) & ~any_small

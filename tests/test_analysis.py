@@ -830,6 +830,121 @@ def test_d2_n1_decides_and_counts():
                 assert A.pattern_exists(omega, k) == bool(bits.any())
 
 
+# the full clamped walk that the clamped head start and the one-branch clamps
+# replaced, kept as an oracle: every cell from the first, all |A| branches
+# written and then multiplied by the row's clamp mask
+
+def oracle_walk(omega, k, dtype, syms=None):
+    d, n, a_ = omega.d, omega.n, omega.alphabet
+    m, codes = A._frontier_tables(d, n, a_, k)
+    owners = {} if syms is None else A._boundary_cell_owners(d, n, k)[1]
+    batch, sub = 1 if syms is None else len(syms), a_ ** (m - 1)
+    check = omega.bits[codes].reshape(a_, sub)
+    w = np.zeros((batch, a_, sub), dtype=dtype)
+    w[:, 0, 0] = 1
+    for cell in product(range(k), repeat=d):
+        old = w.reshape(batch, sub, a_)
+        agg = old[:, :, 0].copy()
+        for a in range(1, a_):
+            agg = agg + old[:, :, a]
+        clamp = owners.get(cell)
+        for a in range(a_):
+            w[:, a] = agg * check[a] if min(cell) >= n - 1 else agg
+            if clamp is not None:
+                w[:, a] = w[:, a] * (syms[:, clamp] == a)[:, None]
+    return w.reshape(batch, -1).sum(axis=1)
+
+
+FILL_CASES = [(d, n, a, k) for d in (1, 2, 3) for n in (1, 2, 3) for a in (2, 3)
+              for k in range(2 * n, 2 * n + 4) if a ** A._span(d, n, k) <= 1 << 14]
+
+
+def _omega_for(kind, d, n, alphabet, rng):
+    """All windows allowed, all but one, or a random share of them."""
+    bits = np.ones(alphabet ** (n ** d), dtype=bool)
+    if kind == "one-removed":
+        bits[rng.integers(len(bits))] = False
+    elif kind == "random":
+        bits = rng.random(len(bits)) < rng.uniform(0.5, 1.0)
+    return AllowedSet(d, n, alphabet, bits)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.data(), st.sampled_from(FILL_CASES),
+       st.sampled_from(["all", "one-removed", "random"]), st.integers(0, 2 ** 32 - 1))
+def test_fill_counts_match_full_clamped_walk(data, case, kind, seed):
+    # a 2^14-weight pass budget puts the chunk seams of _fill_counts at a few
+    # rows for the widest frontiers; every batch size sits on or past a seam
+    d, n, alphabet, k = case
+    rng = np.random.default_rng(seed)
+    omega = _omega_for(kind, d, n, alphabet, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "FRONTIER_BUDGET_BITS", 14)
+        chunk = max(1, (1 << 14) // alphabet ** A._span(d, n, k))
+        rows = data.draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]))
+        syms = rng.integers(0, alphabet, (max(rows, 1), len(A._free_boundary_cells(d, n, k))))
+        got = A._fill_counts(omega, k, syms)
+    assert got.dtype == A._exact_dtype(alphabet, (k - 2 * n) ** d)
+    want = oracle_walk(omega, k, np.float64, syms)  # exact: at most 3^27 < 2^52
+    assert [int(x) for x in got] == [int(x) for x in want]
+
+
+def test_fill_counts_cross_the_pass_budget_of_a_wide_frontier():
+    # d = 2, n = 3, k = 6: 2^15 states, so a pass holds 128 boundaries
+    rng = np.random.default_rng(17)
+    omega = _omega_for("one-removed", 2, 3, 2, rng)
+    syms = rng.integers(0, 2, (130, len(A._free_boundary_cells(2, 3, 6))))
+    syms[126:] = 0  # the all-zero boundary, on both sides of the seam
+    got = A._fill_counts(omega, 6, syms)
+    seam = [0, 126, 127, 128, 129]
+    assert got[seam].tolist() == oracle_walk(omega, 6, np.float64, syms[seam]).tolist()
+    assert got[128] > 0
+
+
+# the exactness guard at its edges: 2^24 (float32 | float64) and 2^52
+# (float64 | exact ints), against exact ints, on all-allowed and one-removed
+# allowed sets
+
+def exact_periodic_count_n2(bits, alphabet, ell):
+    # d = 1, n = 2: the ell-periodic points are the trace of T^ell, where
+    # T[x][y] = bits[xy], in Python ints
+    T = [[int(bits[x * alphabet + y]) for y in range(alphabet)] for x in range(alphabet)]
+    power = T
+    for _ in range(ell - 1):
+        power = [[sum(power[x][z] * T[z][y] for z in range(alphabet)) for y in range(alphabet)]
+                 for x in range(alphabet)]
+    return sum(power[x][x] for x in range(alphabet))
+
+
+GUARD_EDGES = [(2, 24, np.float32), (2, 25, np.float64), (3, 15, np.float32),
+               (3, 16, np.float64), (2, 52, np.float64), (2, 53, object)]
+
+
+@pytest.mark.parametrize("alphabet, free, dtype", GUARD_EDGES)
+def test_exactness_guard_edges(alphabet, free, dtype):
+    assert A._exact_dtype(alphabet, free) is dtype
+    n = 2
+    full = AllowedSet(1, n, alphabet, np.ones(alphabet ** n, dtype=bool))
+    cut = AllowedSet(1, n, alphabet, np.arange(alphabet ** n) != alphabet + 1)  # forbid "11"
+    # fill counts with free interior cells, k - 2n of them
+    k = free + 2 * n
+    syms = np.array([[0, 1, 0], [1, 1, 1], [0, 0, 0]])  # cells 0, 1 and k-2
+    got = A._fill_counts(full, k, syms)
+    assert got.dtype == dtype and all(int(x) == alphabet ** free for x in got)
+    got = A._fill_counts(cut, k, syms)
+    want = oracle_walk(cut, k, object, syms)
+    assert got.dtype == dtype and [int(x) for x in got] == want.tolist()
+    assert 0 < want[0] < alphabet ** free
+    # pattern counts over k = free cells
+    assert A.count_patterns(full, free) == alphabet ** free
+    assert A.count_patterns(cut, free) == oracle_walk(cut, free, object)[0]
+    # the exact periodic count over free = ell torus cells
+    ell = free
+    assert A.count_periodic_fillins(full, ell + n - 1).count == float(alphabet ** ell)
+    assert (A.count_periodic_fillins(cut, ell + n - 1).count
+            == float(exact_periodic_count_n2(cut.bits, alphabet, ell)))
+
+
 # ---------------------------------------------------------------------------
 # the cyclic slab transfer: exact periodic counts against the torus itself
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -226,3 +227,27 @@ def test_verdicts_for_1d_certifies_only_marked_nonempty_rows(monkeypatch):
     assert verdicts2.tolist() == verdicts.tolist() and certified.all()
     nonempty = verdicts == X.VERDICT_NONEMPTY
     assert decided == [10 + i for i in np.flatnonzero(nonempty & mark)]
+
+
+# SHA-256 of run_entropy_experiment CSVs, recorded before the clamped walk
+# started after its head: the d1-entropy bench parameters at four trials, a
+# sampled d = 2 case and an exact one
+ENTROPY_GOLDEN = {
+    "d1-entropy": (dict(d=1, alphabet=2, n=10, alphas=(0.75,), trials=4, seed=20260809, k=40,
+                        boundary_samples=256, epsilons=(0.05, 0.1, 0.15, 0.2)),
+                   "f0cda4b96cf3f36e9183c727ce6ed6e50870bff04d5f5e3934f7d945dbbf50c5"),
+    "d2-sampled": (dict(d=2, alphabet=2, n=2, alphas=(0.8, 0.95), trials=6, seed=7, k=7,
+                        boundary_samples=64),
+                   "86221aaa65dabf21f757f40cc39098ba7e827efa70ef413858ed2a3bfb4c6432"),
+    "exact": (dict(d=2, alphabet=2, n=2, alphas=(0.6, 0.85), trials=8, seed=11, k=5,
+                   boundary_samples=0),
+              "4ef578659b80aa17ae4d198bd49c405c48a3ee2b3c5042b1d38a960a72a4af5a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPY_GOLDEN))
+def test_entropy_csv_matches_golden(name, tmp_path):
+    kw, digest = ENTROPY_GOLDEN[name]
+    path = tmp_path / "entropy.csv"
+    X.run_entropy_experiment(X.ExperimentConfig(**kw)).write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

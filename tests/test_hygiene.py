@@ -182,3 +182,23 @@ def test_traced_d1_names_are_called(monkeypatch):
     experiments.run_orbit_experiment(cfg)
     missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
     assert not missing, f"traced but never called by d = 1 chunks: {missing}"
+
+
+def test_traced_entropy_names_are_called(monkeypatch):
+    """The names behind the d1-entropy per-layer metrics (experiments.chunk,
+    ensemble.sample, analysis.count_periodic_fillins and its
+    boundaries_evaluated counter) are reached by a small entropy experiment,
+    so none of them reads 0 after a refactor of the fill counts."""
+    from sftlab import analysis, experiments
+
+    path = ROOT / "bench" / "trace_cli.py"
+    modules = {"analysis": analysis, "experiments": experiments}
+    names = [("analysis", "count_periodic_fillins"), ("experiments", "_entropy_chunk"),
+             ("experiments", "sample")]
+    assert set(names) <= set(_patched_names(ast.parse(path.read_text(encoding="utf-8"))))
+    calls = _count_calls(monkeypatch, modules, names)
+    cfg = experiments.ExperimentConfig(d=1, alphabet=2, n=4, alphas=(0.75,), trials=3,
+                                       seed=5, k=12, boundary_samples=16)
+    experiments.run_entropy_experiment(cfg)
+    missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
+    assert not missing, f"traced but never called by the entropy chunks: {missing}"
