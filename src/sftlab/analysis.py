@@ -9,8 +9,8 @@ digraph, a batch at a time: one pruning of every row, a longest-path peel for
 an empty row's certificate k, both run on the lanes of the window words, and a
 shortest cycle for a nonempty row.  Orbit presence (`allowed_orbit_lanes`)
 ANDs the lanes of each orbit's windows.  Every certificate orbit, a d = 1
-cycle or a d >= 2 torus config, is built and checked against its allowed set
-in `_torus_orbits`.  For d >= 2 the decision is a semi-decision: an exact
+cycle or a d >= 2 torus config, is built in `_torus_orbits` and checked by
+`_orbits_allowed`, one window gather per lattice.  For d >= 2 the decision is a semi-decision: an exact
 existence search over growing cube sides (failure certifies emptiness)
 interleaved with a periodic-torus search over growing shapes (success
 certifies nonemptiness via a finite orbit); both may exhaust their cutoffs,
@@ -59,9 +59,9 @@ import numpy as np
 
 from . import patterns as pt
 from .errors import CertificateError, DomainError, ResourceBudgetError
-from .ensemble import (AllowedSet, orbit_allowed, pack_lanes, stream_words, unpack_lanes,
-                       TAG_BOUNDARY)
-from .orbits import Orbit, _canonical_rows, orbit_from_config, orbit_window_table
+from .ensemble import AllowedSet, pack_lanes, stream_words, unpack_lanes, TAG_BOUNDARY
+from .orbits import (Orbit, _canonical_rows, lattice_window_codes, orbit_from_config,
+                     orbit_window_table)
 
 FRONTIER_BUDGET_BITS = 22
 COUNT_STATE_BUDGET_BITS = 18
@@ -294,7 +294,7 @@ def _frontier_weights(bits, d: int, n: int, alphabet: int, k: int, dtype,
         w.reshape(batch, A * sub)[rows, state] = bits[head_codes].all(axis=1)
     for t, cell in enumerate(islice(product(range(k), repeat=d), start, None), start):
         old = w.reshape(batch, sub, A)  # oldest digit last
-        agg = old[:, :, 0].copy() if A == 1 else add(old[:, :, 0], old[:, :, 1])
+        agg = add(old[:, :, 0], old[:, :, 1])
         for a in range(2, A):
             add(agg, old[:, :, a], out=agg)
         checked = min(cell) >= n - 1
@@ -467,22 +467,30 @@ def torus_config(omega: AllowedSet, shape):
     return tuple(cfgs[0].tolist()) if found[0] else None
 
 
+def _orbits_allowed(omegas, orbits) -> np.ndarray:
+    """Per orbit, whether its allowed set retains every window of it: one
+    gather of window codes per lattice, each row against its own bits."""
+    bits = np.stack([o.bits for o in omegas])
+    ok = np.empty(len(orbits), dtype=bool)
+    for at, codes in lattice_window_codes(orbits, omegas[0].n):
+        ok[at] = bits[at[:, None], codes].all(axis=1)
+    return ok
+
+
 def _torus_orbits(omegas, shape, cfgs: np.ndarray):
     """Certificate orbits of the configs (rows of flat symbols) found on the
     wraparound shape, one per allowed set.  The rows are canonicalised in one
     batch; a row that a nontrivial translate fixes has a coarser stabilizer
-    and goes through orbit_from_config.  Each orbit is checked against its
-    allowed set's windows."""
+    and goes through orbit_from_config.  The orbits are checked against their
+    allowed sets' windows by _orbits_allowed."""
     d = len(shape)
     H = tuple(tuple(shape[i] if i == j else 0 for j in range(d)) for i in range(d))
     fixed, canon = _canonical_rows(H, cfgs)
-    out = []
-    for omega, cfg, fix, row in zip(omegas, cfgs, fixed, canon):
-        orbit = (orbit_from_config(H, cfg, omega.alphabet) if fix[1:].any()
-                 else Orbit(H, tuple(row.tolist()), omega.alphabet))
-        if not orbit_allowed(omega, orbit):
-            raise CertificateError(f"torus config on {shape} shows a forbidden window")
-        out.append(orbit)
+    out = [orbit_from_config(H, cfg, omega.alphabet) if fix[1:].any()
+           else Orbit(H, tuple(row.tolist()), omega.alphabet)
+           for omega, cfg, fix, row in zip(omegas, cfgs, fixed, canon)]
+    if not _orbits_allowed(omegas, out).all():
+        raise CertificateError(f"torus config on {shape} shows a forbidden window")
     return out
 
 

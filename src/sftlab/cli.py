@@ -215,10 +215,10 @@ def _cmd_entropy(args):
 
 
 def _cmd_orbits(args):
+    rows = [f"{j},{count_orbits(args.alphabet, args.d, j).count}\n"
+            for j in range(1, args.max_size + 1)]
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("size,count\n")
-        for j in range(1, args.max_size + 1):
-            f.write(f"{j},{count_orbits(args.alphabet, args.d, j).count}\n")
+        f.write("size,count\n" + "".join(rows))
     return 0
 
 

@@ -16,6 +16,7 @@ from .errors import DomainError
 from . import analysis
 from .ensemble import EnsembleParams, sample, sample_bits_batch, unpack_lanes
 from .orbits import orbit_window_table
+from .patterns import window_table_size
 from .zeta import independence_upper_bound, zeta_inverse
 from . import __version__
 
@@ -42,6 +43,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        window_table_size(self.alphabet, self.d, self.n)
         if self.trials < 1:
             raise DomainError("need at least one trial")
         for a in self.alphas:

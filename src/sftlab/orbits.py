@@ -8,7 +8,10 @@ upper triangular in column style (basis vectors are the columns, zeros below
 the diagonal, row entries reduced modulo the diagonal), its determinant is the
 orbit size, and the fundamental domain is {x : 0 <= x_i < H[i][i]} read in lex
 order.  The stored symbols are the lex-least among all domain translates, so
-orbit equality is plain tuple comparison.
+orbit equality is plain tuple comparison.  A stabilizer's HNF is read off its
+fixers.  Every window question is one gather per lattice through a cached
+(lattice, n) table of window cells (`lattice_window_codes`); `orbit_windows`
+is its batch of one.
 """
 
 import math
@@ -26,57 +29,7 @@ COUNT_BUDGET = {1: 400, 2: 40, 3: 12}
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form (column-style, upper triangular)
-
-def hnf_from_columns(cols, d: int):
-    """HNF of the lattice generated by the given column vectors.
-
-    Requires full rank (the generated lattice has finite index).
-    """
-    work = [list(c) for c in cols]
-
-    def col_sub(a, b, q):  # a -= q*b
-        for i in range(d):
-            a[i] -= q * b[i]
-
-    result = [None] * d
-    for row in range(d - 1, -1, -1):
-        cand = [c for c in work if any(c[i] for i in range(row + 1)) or c[row]]
-        cand = [c for c in cand if all(c[i] == 0 for i in range(row + 1, d))]
-        live = [c for c in cand if c[row] != 0]
-        if not live:
-            raise DomainError("generators do not span a finite-index lattice")
-        # gcd elimination on this row
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]))
-            a, b = live[0], live[1]
-            q = b[row] // a[row]
-            col_sub(b, a, q)
-            live = [c for c in live if c[row] != 0]
-        piv = live[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        for c in work:
-            if c is not piv and all(c[i] == 0 for i in range(row + 1, d)) and c[row]:
-                q = c[row] // piv[row]
-                col_sub(c, piv, q)
-        result[row] = list(piv)
-        work = [c for c in work if c is not piv and any(c)]
-    # off-diagonal reduction: 0 <= H[i][l] < H[i][i] for l > i
-    for l in range(d):
-        for i in range(l - 1, -1, -1):
-            q = result[l][i] // result[i][i]
-            if q:
-                for r in range(d):
-                    result[l][r] -= q * result[i][r]
-    cols_out = tuple(tuple(c) for c in result)
-    return _cols_to_matrix(cols_out, d)
-
-
-def _cols_to_matrix(cols, d: int):
-    """Columns -> row-major matrix tuple H with H[i][j] = cols[j][i]."""
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
+# Lattices in Hermite normal form (column-style, upper triangular)
 
 def matrix_columns(H):
     d = len(H)
@@ -200,6 +153,7 @@ class OrbitCount:
 
 def count_orbits(alphabet: int, d: int, j: int) -> OrbitCount:
     """Exact number of finite orbits of cardinality j in the full shift."""
+    pt.window_table_size(alphabet, d, 1)  # checks d and |A|
     if j < 1:
         raise DomainError("orbit size must be >= 1")
     if j > COUNT_BUDGET.get(d, 0):
@@ -256,6 +210,23 @@ def _canonical_rows(H, rows):
     return fixed, canon
 
 
+def _stabilizer(H, fixers: np.ndarray):
+    """HNF of the stabilizer of an H-periodic configuration from its fixers,
+    the (F, d) domain translates that reproduce it.  They are the
+    stabilizer's coset representatives in H's domain, so its column j is the
+    fixer with the least positive j-th coordinate and zeros after j (H's
+    column j if there is none), reduced by the earlier columns."""
+    d = len(H)
+    cols = []
+    for j in range(d):
+        cands = fixers[(fixers[:, j] > 0) & ~fixers[:, j + 1:].any(axis=1)]
+        col = cands[cands[:, j].argmin()] if len(cands) else np.array(H)[:, j]
+        for i in range(j - 1, -1, -1):
+            col = col - col[i] // cols[i][i] * cols[i]
+        cols.append(col)
+    return tuple(tuple(int(c[i]) for c in cols) for i in range(d))
+
+
 def orbit_from_config(H, symbols, alphabet: int) -> Orbit:
     """Canonical orbit of the H-periodic configuration given by fundamental
     symbols, H in HNF (the true stabilizer may be coarser than H)."""
@@ -263,10 +234,8 @@ def orbit_from_config(H, symbols, alphabet: int) -> Orbit:
     fixed, canon = _canonical_rows(H, row)
     if not fixed[0, 1:].any():  # only the zero translate fixes it: H is the stabilizer
         return Orbit(H, tuple(canon[0].tolist()), alphabet)
-    fixers = [v for v, f in zip(fundamental_domain(H), fixed[0]) if f][1:]
-    stab = hnf_from_columns(matrix_columns(H) + fixers, len(H))
-    if stab != H:
-        _, canon = _canonical_rows(stab, row[:, reduce_points(H, _domain_array(stab))])
+    stab = _stabilizer(H, _domain_array(H)[fixed[0]])
+    _, canon = _canonical_rows(stab, row[:, reduce_points(H, _domain_array(stab))])
     return Orbit(stab, tuple(canon[0].tolist()), alphabet)
 
 
@@ -299,24 +268,47 @@ def enumerate_orbits(alphabet: int, d: int, max_size: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _window_cells(H, n: int) -> np.ndarray:
+    """Flat domain cells of the side-n windows of an H-periodic
+    configuration, shaped (index, n^d): row a is the window anchored at the
+    a-th domain point, its cells in lex point order.  Cached; read-only."""
+    if n < 1:
+        raise DomainError(f"window side must be >= 1, got {n}")
+    offsets = np.indices((n,) * len(H)).reshape(len(H), -1).T  # the side-n cube, lex order
+    cells = reduce_points(H, _domain_array(H)[:, None] + offsets)
+    cells.setflags(write=False)
+    return cells
+
+
+def lattice_window_codes(orbits, n: int):
+    """Window codes of the orbits, one gather per lattice: yields, for each
+    lattice in order of first appearance, (positions at of its orbits in the
+    list, codes shaped (len(at), index)); row r codes the windows of orbit
+    at[r] anchored at the domain points.  The orbits share one alphabet."""
+    groups = {}
+    for i, o in enumerate(orbits):
+        groups.setdefault(o.lattice, []).append(i)
+    for H, at in groups.items():
+        rows = np.array([orbits[i].symbols for i in at], dtype=np.uint8)
+        yield np.array(at), pt.row_codes(rows[:, _window_cells(H, n)], orbits[at[0]].alphabet)
+
+
 def orbit_windows(orbit: Orbit, n: int) -> frozenset:
-    """Side-n window codes of the periodic configuration: the codes of its
-    box H[i][i] + n - 1 per axis, whose window anchors are the domain."""
-    H = orbit.lattice
-    box = np.indices(tuple(h + n - 1 for h in _diagonal(H)))
-    arr = np.asarray(orbit.symbols, dtype=np.uint8)[reduce_points(H, np.moveaxis(box, 0, -1))]
-    return frozenset(pt.cube_window_codes(arr, n, orbit.alphabet).tolist())
+    """Side-n window codes of the periodic configuration: the batch of one of
+    lattice_window_codes."""
+    (_, codes), = lattice_window_codes([orbit], n)
+    return frozenset(codes[0].tolist())
 
 
 @lru_cache(maxsize=None)
 def orbit_window_table(alphabet: int, d: int, n: int, max_size: int):
     """(orbits, mask matrix, sizes): mask row o marks W_n of orbit o in the
-    window-code table.  Cached; read-only after creation."""
+    window-code table, filled one gather per lattice.  Cached; read-only."""
     orbs = enumerate_orbits(alphabet, d, max_size)
-    w = pt.window_table_size(alphabet, d, n)
-    masks = np.zeros((len(orbs), w), dtype=np.uint8)
-    for i, o in enumerate(orbs):
-        masks[i, list(orbit_windows(o, n))] = 1
+    masks = np.zeros((len(orbs), pt.window_table_size(alphabet, d, n)), dtype=np.uint8)
+    for at, codes in lattice_window_codes(orbs, n):
+        masks[at[:, None], codes] = 1
     sizes = np.array([o.size for o in orbs], dtype=np.int64)
     masks.setflags(write=False)
     sizes.setflags(write=False)

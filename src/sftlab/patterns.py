@@ -20,7 +20,11 @@ HISTOGRAM_BUDGET = 2 ** 24
 
 
 def window_table_size(alphabet: int, d: int, n: int) -> int:
-    """Number of distinct side-n windows, guarded to 2^28."""
+    """Number of distinct side-n windows, guarded to 2^28; the one check of
+    (d, n, |A|): d in [1, 3], n >= 1 and 2 <= |A| <= 256 (uint8 symbols)."""
+    if not (1 <= d <= 3 and n >= 1 and 2 <= alphabet <= 256):
+        raise DomainError(f"need d in [1, 3], n >= 1 and 2 <= alphabet <= 256, "
+                          f"got d {d}, n {n}, alphabet {alphabet}")
     count = alphabet ** (n ** d)
     if count > 2 ** MAX_WINDOW_TABLE_BITS:
         raise ResourceBudgetError(
@@ -146,10 +150,6 @@ class Pattern:
         return f"Pattern(d={self.d}, |shape|={len(self.symbols)}, A={self.alphabet})"
 
 
-def _lex_weights(alphabet: int, count: int) -> np.ndarray:
-    return (alphabet ** np.arange(count - 1, -1, -1, dtype=np.int64)).astype(np.int64)
-
-
 def encode_window(symbols, alphabet: int) -> int:
     """Base-|A| code of a symbol list in lex point order (first = most significant)."""
     code = 0
@@ -169,21 +169,22 @@ def decode_window(code: int, n: int, d: int, alphabet: int) -> Pattern:
     return Pattern(full_cube(n, d), syms, alphabet)
 
 
-def _codes_fit_int64(alphabet: int, cells: int) -> bool:
-    return cells * math.log2(alphabet) <= 62
+def row_codes(rows: np.ndarray, alphabet: int) -> np.ndarray:
+    """Codes of symbol rows (..., cells), each a window in lex point order:
+    int64 up to 62 bits, past that Python integers in an object array."""
+    cells = rows.shape[-1]
+    if cells * math.log2(alphabet) <= 62:
+        return rows.astype(np.int64) @ alphabet ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    codes = [encode_window(row, alphabet) for row in rows.reshape(-1, cells)]
+    return np.array(codes, dtype=object).reshape(rows.shape[:-1])
 
 
 def cube_window_codes(arr: np.ndarray, n: int, alphabet: int):
-    """Codes of every side-n window of a box pattern, anchor-ordered (C order).
-    Past 62 bits the codes are Python integers in an object array."""
-    d = arr.ndim
-    if any(s < n for s in arr.shape):
-        raise DomainError("no side-n cube fits in the pattern")
-    view = np.lib.stride_tricks.sliding_window_view(arr, (n,) * d)
-    flat = view.reshape(-1, n ** d)
-    if _codes_fit_int64(alphabet, n ** d):
-        return flat.astype(np.int64) @ _lex_weights(alphabet, n ** d)
-    return np.array([encode_window(row, alphabet) for row in flat], dtype=object)
+    """Codes of every side-n window of a box pattern, anchor-ordered (C order)."""
+    if n < 1 or any(s < n for s in arr.shape):
+        raise DomainError(f"no side-{n} cube fits in the pattern")
+    view = np.lib.stride_tricks.sliding_window_view(arr, (n,) * arr.ndim)
+    return row_codes(view.reshape(-1, n ** arr.ndim), alphabet)
 
 
 def windows(u: Pattern, n: int) -> frozenset:

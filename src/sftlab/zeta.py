@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ResourceBudgetError
 from .orbits import COUNT_BUDGET, count_orbits
+from .patterns import window_table_size
 
 TAIL_EXACT_EXTENSION = {1: 140, 2: 20, 3: 6}
 _NEGLIGIBLE = 1e-22
@@ -62,6 +63,7 @@ def zeta_inverse(alphabet: int, d: int, alpha: float, j_max: int) -> ZetaTruncat
     neglected factor; divergence sentinel (value 0) at and above 1/|A|."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must be in [0, 1], got {alpha}")
+    window_table_size(alphabet, d, 1)  # checks d and |A|
     if j_max < 0 or j_max > COUNT_BUDGET.get(d, 0):
         raise ResourceBudgetError(f"j_max {j_max} beyond orbit-count budget for d={d}")
     if alpha * alphabet >= 1.0:

@@ -15,7 +15,7 @@ from sftlab import patterns as P
 from sftlab.ensemble import (AllowedSet, EnsembleParams, orbit_allowed, pack_lanes, sample,
                              unpack_lanes)
 from sftlab.errors import CertificateError, DomainError, ResourceBudgetError
-from sftlab.orbits import orbit_from_config, orbit_window_table
+from sftlab.orbits import enumerate_orbits, orbit_from_config, orbit_window_table
 
 # deterministic property tests, no example database left behind
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -456,9 +456,18 @@ def test_decide_empty_d2_examples():
     assert v.is_nonempty and v.certificate_orbit.size == 2
 
 
+REAL_ORBITS_ALLOWED = A._orbits_allowed
+
+
+def _forged(omegas, orbits):
+    """The per-lattice certificate check, forged to refuse trial 2."""
+    return REAL_ORBITS_ALLOWED(omegas, orbits) & np.array([o.trial != 2 for o in omegas])
+
+
 def test_forged_certificate_raises(monkeypatch):
     # a nonempty verdict whose orbit fails the window check is refused
-    monkeypatch.setattr(A, "orbit_allowed", lambda omega, orbit: False)
+    monkeypatch.setattr(A, "_orbits_allowed",
+                        lambda omegas, orbits: np.zeros(len(orbits), dtype=bool))
     with pytest.raises(CertificateError):
         A.decide_empty(AllowedSet(2, 2, 2, np.ones(16, bool)), 4, 2)
     with pytest.raises(CertificateError):
@@ -468,7 +477,7 @@ def test_forged_certificate_raises(monkeypatch):
 def test_forged_cycle_in_a_1d_batch_raises(monkeypatch):
     # one forged row among five d = 1 rows with the same cycle length is refused
     full = [AllowedSet(1, 2, 2, np.ones(4, bool), trial=t) for t in range(5)]
-    monkeypatch.setattr(A, "orbit_allowed", lambda omega, orbit: omega.trial != 2)
+    monkeypatch.setattr(A, "_orbits_allowed", _forged)
     with pytest.raises(CertificateError):
         A.decide_empty_batch(full, 0, 0)
     assert all(v.is_nonempty for v in A.decide_empty_batch(full[:2] + full[3:], 0, 0))
@@ -477,10 +486,34 @@ def test_forged_cycle_in_a_1d_batch_raises(monkeypatch):
 def test_forged_certificate_in_a_batch_raises(monkeypatch):
     # one forged row among five certified at the same shape is refused
     full = [AllowedSet(2, 2, 2, np.ones(16, bool), trial=t) for t in range(5)]
-    monkeypatch.setattr(A, "orbit_allowed", lambda omega, orbit: omega.trial != 2)
+    monkeypatch.setattr(A, "_orbits_allowed", _forged)
     with pytest.raises(CertificateError):
         A.decide_empty_batch(full, 4, 2)
     assert all(v.is_nonempty for v in A.decide_empty_batch(full[:2] + full[3:], 4, 2))
+
+
+def test_forged_certificate_in_a_two_lattice_batch_raises(monkeypatch):
+    # five d = 2 sets first certified on the (2, 2) torus: the checkerboard
+    # ones (even trials) by an orbit on the lattice ((2, 1), (0, 1)), the
+    # others by the orbit of [[0, 0], [0, 1]] on diag(2, 2)
+    checker, corner = np.zeros(16, bool), np.zeros(16, bool)
+    checker[[0b0110, 0b1001]] = True
+    corner[[0b0001, 0b0010, 0b0100, 0b1000]] = True
+    omegas = [AllowedSet(2, 2, 2, corner if t % 2 else checker, trial=t) for t in range(5)]
+    verdicts = A.decide_empty_batch(omegas, 4, 2)
+    assert [v.certificate_orbit.lattice for v in verdicts[:2]] == [((2, 1), (0, 1)),
+                                                                   ((2, 0), (0, 2))]
+    assert all(v.effort["torus_shape"] == (2, 2) for v in verdicts)
+    # the real check refuses a config its own set forbids, wherever it sits
+    cfgs = np.array([[0, 1, 1, 0], [0, 0, 0, 1]] * 2 + [[0, 1, 1, 0]], dtype=np.uint8)
+    assert len(A._torus_orbits(omegas, (2, 2), cfgs)) == 5
+    cfgs[2] = [0, 0, 0, 1]
+    with pytest.raises(CertificateError):
+        A._torus_orbits(omegas, (2, 2), cfgs)
+    monkeypatch.setattr(A, "_orbits_allowed", _forged)
+    with pytest.raises(CertificateError):
+        A.decide_empty_batch(omegas, 4, 2)
+    assert all(v.is_nonempty for v in A.decide_empty_batch(omegas[:2] + omegas[3:], 4, 2))
 
 
 def test_forged_certificate_raises_under_python_O():
@@ -489,11 +522,17 @@ def test_forged_certificate_raises_under_python_O():
         "from sftlab import analysis as A",
         "from sftlab.ensemble import AllowedSet",
         "from sftlab.errors import CertificateError",
-        "A.orbit_allowed = lambda omega, orbit: omega.trial != 2",
+        "real = A._orbits_allowed",
+        "A._orbits_allowed = lambda omegas, orbits: (",
+        "    real(omegas, orbits) & np.array([o.trial != 2 for o in omegas]))",
         "full = [AllowedSet(2, 2, 2, np.ones(16, bool), trial=t) for t in range(5)]",
+        "checker, corner = np.zeros(16, bool), np.zeros(16, bool)",
+        "checker[[6, 9]] = corner[[1, 2, 4, 8]] = True",
+        "mixed = [AllowedSet(2, 2, 2, corner if t % 2 else checker, trial=t) for t in range(5)]",
         "print(__debug__)",
         "for call in (lambda: A.decide_empty(full[2], 4, 2),",
         "             lambda: A.decide_empty_batch(full, 4, 2),",
+        "             lambda: A.decide_empty_batch(mixed, 4, 2),",
         "             lambda: A.decide_empty_1d(AllowedSet(1, 2, 2, np.ones(4, bool), trial=2)),",
         "             lambda: A.decide_empty_batch(",
         "                 [AllowedSet(1, 2, 2, np.ones(4, bool), trial=t) for t in range(5)], 0, 0)):",
@@ -506,7 +545,22 @@ def test_forged_certificate_raises_under_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "raised", "raised", "raised", "raised"]
+    assert out.split() == ["False"] + ["raised"] * 5
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(1, 3, 2, 6), (1, 2, 3, 4), (2, 2, 2, 4), (2, 1, 3, 3), (3, 1, 2, 2)]))
+def test_batched_certificate_check_matches_orbit_allowed(seed, case):
+    # orbits on every lattice up to the size, each row with its own bits
+    d, n, alphabet, top = case
+    rng = np.random.default_rng(seed)
+    pool = enumerate_orbits(alphabet, d, top)
+    orbits = [pool[i] for i in rng.integers(len(pool), size=40)]
+    width = alphabet ** (n ** d)
+    omegas = [AllowedSet(d, n, alphabet, rng.random(width) < 0.9, trial=t) for t in range(40)]
+    assert A._orbits_allowed(omegas, orbits).tolist() == [
+        orbit_allowed(omega, o) for omega, o in zip(omegas, orbits)]
 
 
 def test_decide_empty_d2_verdicts_sound():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -339,3 +340,49 @@ def test_bad_pattern_file_is_a_json_error(tmp_path, text):
     assert r.returncode == 2
     lines = r.stderr.strip().split("\n")
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "DomainError"
+
+
+BAD_SHAPE_ARGS = {
+    "sample-d0": ["sample", "--d", "0", "--n", "2", "--alpha", "0.5", "--seed", "1"],
+    "sample-alphabet0": ["sample", "--alphabet", "0", "--n", "2", "--alpha", "0.5",
+                         "--seed", "1"],
+    "sample-n0": ["sample", "--n", "0", "--alpha", "0.5", "--seed", "1"],
+    "sample-alphabet-past-256": ["sample", "--alphabet", "257", "--n", "1", "--alpha", "0.5",
+                                 "--seed", "1"],
+    "emptiness-saved-d0": ["emptiness"],
+    "experiment-d4": ["experiment", "emptiness", "--d", "4", "--n", "2", "--alpha", "0.5",
+                      "--trials", "3", "--seed", "1"],
+    "experiment-n0": ["experiment", "emptiness", "--n", "0", "--alpha", "0.5",
+                      "--trials", "3", "--seed", "1"],
+    "experiment-alphabet1": ["experiment", "orbits", "--alphabet", "1", "--n", "2",
+                             "--alpha", "0.5", "--trials", "3", "--seed", "1"],
+    "zeta-alphabet0": ["zeta", "--alphabet", "0", "--alpha", "0.2", "--jmax", "3"],
+    "zeta-alphabet0-jmax0": ["zeta", "--alphabet", "0", "--alpha", "0.2", "--jmax", "0"],
+    "orbits-alphabet1": ["orbits", "--alphabet", "1", "--max-size", "3"],
+    "cover-n0": ["cover", "--n", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPE_ARGS))
+def test_bad_shape_parameters_exit_2_with_one_json_line(case, tmp_path, capsys):
+    # d outside [1, 3], n < 1 or |A| outside [2, 256] is refused before any
+    # work: no output file, one DomainError line, exit 2
+    args = list(BAD_SHAPE_ARGS[case])
+    out = tmp_path / "out"
+    if args[0] == "sample":
+        args += ["--omega-out", str(out)]
+    elif args[0] == "emptiness":
+        saved = tmp_path / "d0.bin"
+        saved.write_bytes(b"SFTOMEGA" + struct.pack("<QQQqq", 0, 2, 2, 0, 0) + b"\0")
+        args += ["--omega-in", str(saved), "--out", str(out)]
+    elif args[0] == "orbits":
+        args += ["--out", str(out)]
+    elif args[0] == "cover":
+        pat = tmp_path / "pat.txt"
+        pat.write_text("2 3 2\n0 1 0\n1 0 1\n0 1 0\n")
+        args += ["--in", str(pat), "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_json_error(captured.err)["error"] == "DomainError"
+    assert not out.exists()

@@ -202,7 +202,8 @@ def test_orbit_experiment_1d_certificates_are_checked(monkeypatch):
                              seed=41, orbit_max=1)
     row = X.run_orbit_experiment(cfg).rows[0]
     assert row["nonempty_no_small"] > 0 and row["gn_candidates"] == 0
-    monkeypatch.setattr(analysis, "orbit_allowed", lambda omega, orbit: False)
+    monkeypatch.setattr(analysis, "_orbits_allowed",
+                        lambda omegas, orbits: np.zeros(len(orbits), dtype=bool))
     with pytest.raises(CertificateError):
         X.run_orbit_experiment(cfg)
 

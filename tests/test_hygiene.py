@@ -202,3 +202,24 @@ def test_traced_entropy_names_are_called(monkeypatch):
     experiments.run_entropy_experiment(cfg)
     missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
     assert not missing, f"traced but never called by the entropy chunks: {missing}"
+
+
+def test_traced_d2_names_are_called(monkeypatch):
+    """The names behind the d2-transition per-layer metrics (the emptiness
+    chunk, orbits.orbit_from_config for a certificate whose stabilizer is
+    coarser than its torus, and zeta.zeta_inverse) are reached by a small
+    d = 2 emptiness experiment, so none of them reads 0 after a refactor of
+    the certificate orbits routes around it."""
+    from sftlab import analysis, experiments
+
+    path = ROOT / "bench" / "trace_cli.py"
+    modules = {"analysis": analysis, "experiments": experiments}
+    names = [("experiments", "_emptiness_chunk"), ("analysis", "orbit_from_config"),
+             ("experiments", "zeta_inverse")]
+    assert set(names) <= set(_patched_names(ast.parse(path.read_text(encoding="utf-8"))))
+    calls = _count_calls(monkeypatch, modules, names)
+    cfg = experiments.ExperimentConfig(d=2, alphabet=2, n=2, alphas=(0.3, 0.6), trials=70,
+                                       seed=5, k_max=4, torus_max=3)
+    experiments.run_emptiness_experiment(cfg)
+    missing = [f"{module}.{attr}" for module, attr in names if not calls[module, attr]]
+    assert not missing, f"traced but never called by d = 2 chunks: {missing}"

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftlab import orbits as O
 from sftlab import patterns as P
@@ -146,6 +147,8 @@ def test_orbit_windows_counts():
                 assert len(w) == o.size
     fixed = next(o for o in O.enumerate_orbits(2, 1, 1) if o.symbols == (1,))
     assert O.orbit_windows(fixed, 3) == {0b111}
+    with pytest.raises(DomainError):
+        O.orbit_windows(fixed, 0)
 
 
 def test_orbit_from_config_canonicalizes():
@@ -265,30 +268,78 @@ def test_orbit_from_config_non_diagonal_stabilizer():
     assert O.lattice_contains(orb.lattice, (2, 0))
 
 
-def test_hnf_random_bases_properties():
+def _superlattice_config(rng, H, lattices, alphabet):
+    """Symbols on H's domain of a config drawn periodic under a random
+    superlattice of H, so its stabilizer is often coarser than H."""
+    cols = O.matrix_columns(H)
+    supers = [L for L in lattices if all(O.lattice_contains(L, c) for c in cols)]
+    L = supers[int(rng.integers(len(supers)))]
+    base = rng.integers(0, alphabet, O.lattice_index(L))
+    return base[O.reduce_points(L, O.fundamental_domain(H))].tolist()
+
+
+def test_stabilizer_from_fixers_properties():
+    # the stabilizer is an HNF lattice containing H, and a domain point of H
+    # lies in it exactly when it is a fixer (its translate reproduces the config)
     rng = np.random.default_rng(3)
-    for _ in range(60):
-        d = int(rng.integers(1, 4))
-        while True:
-            m = rng.integers(-5, 6, size=(d, d))
-            det = round(float(np.linalg.det(m))) if d > 1 else int(m[0, 0])
-            if det != 0:
-                break
-        cols = [tuple(int(x) for x in m[:, j]) for j in range(d)]
-        H = O.hnf_from_columns(cols, d)
-        assert O.lattice_index(H) == abs(det)
-        for c in cols:
-            assert O.lattice_contains(H, c)
-        for i in range(d):
-            for j in range(d):
-                if i > j:
-                    assert H[i][j] == 0
-                elif i < j:
-                    assert 0 <= H[i][j] < H[i][i]
-        # H's columns lie in the span of the generators (equal lattices)
-        hc = O.matrix_columns(H)
-        gen_lattice = O.hnf_from_columns(cols + list(hc), d)
-        assert gen_lattice == H
+    coarser = 0
+    for d, top in ((1, 12), (2, 8), (3, 4)):
+        lattices = [H for j in range(1, top + 1) for H in O.sublattices(d, j)]
+        for _ in range(100):
+            H = lattices[int(rng.integers(len(lattices)))]
+            syms = _superlattice_config(rng, H, lattices, 2)
+            S = O.orbit_from_config(H, syms, 2).lattice
+            coarser += S != H
+            for i in range(d):
+                assert S[i][i] > 0 and all(S[i][j] == 0 for j in range(i))
+                assert all(0 <= S[i][j] < S[i][i] for j in range(i + 1, d))
+            assert all(O.lattice_contains(S, c) for c in O.matrix_columns(H))
+            dom = O.fundamental_domain(H)
+            for v in dom:
+                moved = [syms[O.reduce_points(H, [tuple(a + b for a, b in zip(p, v))])[0]]
+                         for p in dom]
+                assert O.lattice_contains(S, v) == (moved == syms)
+    assert 0 < coarser < 300  # both exact and coarser stabilizers occur
+
+
+def box_orbit_windows(orbit, n):
+    """Oracle: the window codes of the orbit's periodic extension to the box
+    H[i][i] + n - 1 per axis, whose window anchors are the domain, read with
+    sliding_window_view."""
+    H = orbit.lattice
+    box = np.indices(tuple(H[i][i] + n - 1 for i in range(len(H))))
+    arr = np.asarray(orbit.symbols, dtype=np.uint8)[O.reduce_points(H, np.moveaxis(box, 0, -1))]
+    return frozenset(P.cube_window_codes(arr, n, orbit.alphabet).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", [(1, 8), (2, 8), (3, 4)], ids=["d1", "d2", "d3"])
+@settings(deadline=None, derandomize=True, database=None, max_examples=4)
+@given(data=st.data(), alphabet=st.integers(2, 3))
+def test_window_gather_matches_box_oracle(case, n, data, alphabet):
+    # every lattice up to the index, with random (not canonical) symbols; the
+    # gather runs once for all of them, each orbit also as a batch of one
+    d, top = case
+    orbits = [O.Orbit(H, tuple(data.draw(st.lists(st.integers(0, alphabet - 1),
+                                                  min_size=j, max_size=j))), alphabet)
+              for j in range(1, top + 1) for H in O.sublattices(d, j)]
+    batched = {}
+    for at, codes in O.lattice_window_codes(orbits, n):
+        assert codes.shape == (len(at), O.lattice_index(orbits[at[0]].lattice))
+        batched.update((int(i), frozenset(row)) for i, row in zip(at, codes.tolist()))
+    assert sorted(batched) == list(range(len(orbits)))
+    for i, o in enumerate(orbits):
+        assert batched[i] == O.orbit_windows(o, n) == box_orbit_windows(o, n)
+
+
+def test_window_gather_past_62_bits_matches_box_oracle():
+    # d = 2, n = 8: 64-cell windows, coded as Python integers
+    rng = np.random.default_rng(5)
+    orbits = [O.Orbit(H, tuple(rng.integers(0, 2, j).tolist()), 2)
+              for j in (1, 4, 6) for H in O.sublattices(2, j)]
+    wins = [O.orbit_windows(o, 8) for o in orbits]
+    assert wins == [box_orbit_windows(o, 8) for o in orbits]
+    assert any(max(w) >= 1 << 63 for w in wins)
 
 
 def test_orbit_window_table_matches_direct_checks():
